@@ -329,30 +329,32 @@ def build_hierarchy(
     ]
 
     # Create the flat ICA population, each under a root or an earlier ICA
-    # so that multi-ICA chains exist.
+    # so that multi-ICA chains exist.  ``candidates[(root, depth)]`` lists
+    # the ICAs of that depth under that root in creation (index) order.
     authorities: List[CertificateAuthority] = []
     parent_of: Dict[int, Optional[int]] = {}  # index -> parent ica index
     root_of: Dict[int, CertificateAuthority] = {}
+    candidates: Dict[Tuple[int, int], List[int]] = {}
+    depth_of: List[int] = []
     depths = list(depth_weights.keys())
     weights = list(depth_weights.values())
     for i in range(total_icas):
-        root = roots[i % num_roots]
+        root_index = i % num_roots
+        root = roots[root_index]
         # Decide this ICA's own depth: 1 = direct child of a root, deeper =
         # child of an existing ICA under the same root.
         target_depth = rng.choices(depths, weights=weights, k=1)[0]
         parent_idx: Optional[int] = None
         if target_depth > 1:
-            candidates = [
-                j
-                for j, ca in enumerate(authorities)
-                if root_of[j] is root and _depth_of(j, parent_of) == target_depth - 1
-            ]
-            if candidates:
-                parent_idx = rng.choice(candidates)
+            parents = candidates.get((root_index, target_depth - 1))
+            if parents:
+                parent_idx = rng.choice(parents)
         if parent_idx is None:
             parent = root
+            depth = 1
         else:
             parent = authorities[parent_idx]
+            depth = depth_of[parent_idx] + 1
         ica = parent.create_subordinate(
             f"ICA I{i} ({algorithm if isinstance(algorithm, str) else algorithm.name})",
             seed=(seed << 16) + 0xA000 + i,
@@ -360,6 +362,8 @@ def build_hierarchy(
         authorities.append(ica)
         parent_of[i] = parent_idx
         root_of[i] = root
+        depth_of.append(depth)
+        candidates.setdefault((root_index, depth), []).append(i)
 
     paths: List[ICAPath] = []
     for i, ica in enumerate(authorities):
@@ -376,11 +380,3 @@ def build_hierarchy(
         paths.append(ICAPath(root=root, authorities=()))
     return Hierarchy(roots, paths, seed)
 
-
-def _depth_of(index: int, parent_of: Dict[int, Optional[int]]) -> int:
-    depth = 1
-    j = parent_of[index]
-    while j is not None:
-        depth += 1
-        j = parent_of[j]
-    return depth

@@ -9,12 +9,17 @@ advances a cohort of N users as numpy columns instead:
 * per-user destination draws and RTTs come from the counter-based RNG
   streams of :mod:`repro.webmodel.cohortrng` (pure functions of
   ``(stream key, user * slots + slot)``, so any sharding reproduces them);
-* chain composition is a gather: ``rank -> ICAPath`` is a pure function
-  of the population seed, so the engine resolves each *unique* rank once
-  and reads per-path fact columns (depth, ICA bytes, base-filter hits,
+* chain composition is a gather: ``rank -> path ordinal`` is a pure
+  function of the population seed, and resolution lives in the
+  population — :meth:`ICAPopulation.path_ordinals` reads the
+  population's shared rank table (2 MiB of int16 at the default 1M ranks
+  and 1 407 paths), drawing only ranks no engine on that population has
+  seen yet.  The engine keeps no rank memo of its own; it indexes
+  per-path fact columns (depth, ICA bytes, base-filter hits,
   false-positive flag) for every (user, slot) cell;
 * filter behaviour comes from one bulk ``contains_batch`` probe of the
-  advertised wire image over every path's fingerprints;
+  advertised wire image over the population's flat per-path fingerprint
+  column, reduced per path with ``np.add.reduceat``;
 * warm-state/dedup ("already visited this destination"), retry and
   suppression-byte accounting are boolean/int masks and column
   reductions.
@@ -50,7 +55,7 @@ result is independent of block size and ``--jobs``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -339,17 +344,8 @@ class CohortEngine:
         self._probe = parse_extension_payload(self._payload)
         self._known = frozenset(self._base.cache.fingerprints())
         self._keys = cohort_stream_keys(config.seed)
-        paths = self.population.hierarchy.paths
-        self._path_index = {id(path): i for i, path in enumerate(paths)}
-        self._path_certs: List[list] = [p.ica_certificates() for p in paths]
-        self._path_fps: List[List[bytes]] = [
-            [cert.fingerprint() for cert in certs] for certs in self._path_certs
-        ]
-        self._path_sizes: List[List[int]] = [
-            [cert.size_bytes() for cert in certs] for certs in self._path_certs
-        ]
+        self._columns = self.population.path_columns()
         self._facts = self._build_path_facts()
-        self._rank_ordinal: Dict[int, int] = {}
 
     # -- facts -----------------------------------------------------------------
 
@@ -357,45 +353,19 @@ class CohortEngine:
         """Probe every path's fingerprints through the advertised wire
         image in one ``contains_batch`` call and reduce to per-path
         columns."""
-        flat: List[bytes] = []
-        offsets = [0]
-        for fps in self._path_fps:
-            flat.extend(fps)
-            offsets.append(len(flat))
-        hits = list(self._probe.contains_batch(flat)) if flat else []
-        num = len(self._path_fps)
-        depth = np.zeros(num, dtype=np.int64)
-        nbytes = np.zeros(num, dtype=np.int64)
-        nhits = np.zeros(num, dtype=np.int64)
-        supp_bytes = np.zeros(num, dtype=np.int64)
-        fp = np.zeros(num, dtype=bool)
-        for p in range(num):
-            fps = self._path_fps[p]
-            sizes = self._path_sizes[p]
-            path_hits = hits[offsets[p] : offsets[p + 1]]
-            depth[p] = len(fps)
-            nbytes[p] = sum(sizes)
-            nhits[p] = sum(1 for h in path_hits if h)
-            supp_bytes[p] = sum(s for s, h in zip(sizes, path_hits) if h)
-            fp[p] = any(
-                h and f not in self._known for f, h in zip(fps, path_hits)
-            )
-        return _PathFacts(
-            depth=depth, nbytes=nbytes, nhits=nhits, supp_bytes=supp_bytes, fp=fp
+        columns = self._columns
+        flat = columns.fingerprints
+        hits = np.array(
+            self._probe.contains_batch(flat) if flat else [], dtype=bool
         )
-
-    def _ordinals_for_ranks(self, unique_ranks: np.ndarray) -> np.ndarray:
-        """Path ordinal per unique rank (memoized; ``path_for_rank`` is a
-        pure function of (population seed, rank))."""
-        memo = self._rank_ordinal
-        out = np.empty(len(unique_ranks), dtype=np.int64)
-        for i, rank in enumerate(unique_ranks.tolist()):
-            ordinal = memo.get(rank)
-            if ordinal is None:
-                ordinal = self._path_index[id(self.population.path_for_rank(rank))]
-                memo[rank] = ordinal
-            out[i] = ordinal
-        return out
+        unknown = np.array([fp not in self._known for fp in flat], dtype=bool)
+        return _PathFacts(
+            depth=columns.depth,
+            nbytes=columns.per_path_sum(columns.sizes),
+            nhits=columns.per_path_sum(hits.astype(np.int64)),
+            supp_bytes=columns.per_path_sum(np.where(hits, columns.sizes, 0)),
+            fp=columns.per_path_sum((hits & unknown).astype(np.int64)) > 0,
+        )
 
     # -- columnar fast path + replay slow path ---------------------------------
 
@@ -416,9 +386,7 @@ class CohortEngine:
             cfg.rtt_sigma,
         )
         first = _first_contact_mask(ranks)
-        unique_ranks = np.unique(ranks)
-        unique_ordinals = self._ordinals_for_ranks(unique_ranks)
-        ordinals = unique_ordinals[np.searchsorted(unique_ranks, ranks)]
+        ordinals = self.population.path_ordinals(ranks)
         facts = self._facts
         depth = facts.depth[ordinals]
         nbytes = facts.nbytes[ordinals]
@@ -449,7 +417,7 @@ class CohortEngine:
 
         # Divergent rows: exact replay through the real object pipeline.
         for local in np.nonzero(divergent)[0]:
-            replay = self._replay_user(ranks[local], first[local])
+            replay = self._replay_user(ordinals[local], first[local])
             retries[local] = replay.retries
             learned[local] = replay.learned_icas
             sent_first_count[local] = replay.icas_sent_first
@@ -476,7 +444,7 @@ class CohortEngine:
         return _BlockPart(start=start, columns=columns, rtt_s=rtt[first])
 
     def _replay_user(
-        self, rank_row: np.ndarray, first_row: np.ndarray
+        self, ordinal_row: np.ndarray, first_row: np.ndarray
     ) -> _UserReplay:
         """Replay one FP-affected user with real core objects, so filter
         evolution (insert order, full-table rebuilds, payload refreshes)
@@ -508,9 +476,10 @@ class CohortEngine:
                 advertised = parse_extension_payload(
                     suppressor.extension_payload()
                 )
-            ordinal = self._rank_ordinal[int(rank_row[slot])]
-            fps = self._path_fps[ordinal]
-            sizes = self._path_sizes[ordinal]
+            ordinal = int(ordinal_row[slot])
+            lo, hi = self._columns.offsets[ordinal : ordinal + 2].tolist()
+            fps = self._columns.fingerprints[lo:hi]
+            sizes = self._columns.sizes[lo:hi].tolist()
             hits = list(advertised.contains_batch(fps)) if fps else []
             suppressed = [i for i, hit in enumerate(hits) if hit]
             total_bytes = sum(sizes)
@@ -527,7 +496,9 @@ class CohortEngine:
                 retries += 1
                 sent_total_count += len(fps)
                 sent_total_bytes += total_bytes
-                learned += suppressor.cache.add_many(self._path_certs[ordinal])
+                learned += suppressor.cache.add_many(
+                    self.population.hierarchy.paths[ordinal].ica_certificates()
+                )
                 known.update(fps)
             handshake_index += 1
         return _UserReplay(

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Set
 
-from repro.webmodel.chains import TABLE2_MONTHS, table2_mix
+from repro.webmodel.chains import TABLE2_MONTHS
 from repro.webmodel.population import ICAPopulation
 
 
@@ -47,15 +47,14 @@ def crawl_top_domains(
     little (``DomainRanking.monthly_rank``), and the population's chain
     mix follows the month's observed distribution.
     """
-    mix = table2_mix(month)
-    population = _with_month(population, month)
+    population = population.with_month(month)
     depth_counts: Dict[int, int] = {}
     distinct: Set[bytes] = set()
     for rank in range(1, num_domains + 1):
         actual = population.ranking.monthly_rank(rank, month_index)
-        depth = population.depth_for_rank(actual)
         path = population.path_for_rank(actual)
-        depth_counts[min(depth, 4)] = depth_counts.get(min(depth, 4), 0) + 1
+        depth = min(path.depth, 4)
+        depth_counts[depth] = depth_counts.get(depth, 0) + 1
         for cert in path.ica_certificates():
             distinct.add(cert.fingerprint())
     shares = {d: c / num_domains for d, c in depth_counts.items()}
@@ -74,14 +73,3 @@ def crawl_all_months(
         crawl_top_domains(population, month, month_index=i, num_domains=num_domains)
         for i, month in enumerate(TABLE2_MONTHS)
     ]
-
-
-def _with_month(population: ICAPopulation, month: str) -> ICAPopulation:
-    """A view of the population under another month's chain mix (same
-    hierarchy, same path popularity — only the depth mix changes)."""
-    if population.config.month == month:
-        return population
-    clone = object.__new__(ICAPopulation)
-    clone.__dict__.update(population.__dict__)
-    clone._mix = table2_mix(month)
-    return clone
