@@ -13,13 +13,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-try:  # numpy is a declared dependency, but every path degrades gracefully
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    np = None  # type: ignore[assignment]
-
-#: Whether the vectorized batch-hashing kernels are available.
-HAVE_NUMPY = np is not None
+import numpy as np
 
 MASK64 = (1 << 64) - 1
 

@@ -18,8 +18,9 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 from typing import List, Sequence
 
+import numpy as np
+
 from repro.amq import bitpack
-from repro.amq.hashing import np
 
 BUCKET_SIZE = 4
 INDEX_BITS = 12
@@ -93,17 +94,12 @@ def pack_table(table, fp_bits: int) -> bytes:
     Accepts a Python sequence or a uint64 array; the vectorized path
     (sort the (nibble, high) pairs per bucket as composite keys, look the
     sorted nibbles up in a 64 K rank table, pack the five fields as
-    interleaved records) emits the same bytes as the scalar
-    ``encode_bucket`` loop.
+    interleaved records) emits the same bytes as :func:`pack_table_py`.
     """
     high_bits = fp_bits - 4
     # The composite sort key stores the high part in 32 bits, so very wide
     # fingerprints (tiny fpp) use the scalar emit loop instead.
-    if (
-        np is not None
-        and isinstance(table, np.ndarray)
-        and high_bits <= bitpack.MAX_FIELD_BITS
-    ):
+    if isinstance(table, np.ndarray) and high_bits <= bitpack.MAX_FIELD_BITS:
         u64 = np.uint64
         t = np.ascontiguousarray(table, dtype=u64).reshape(-1, BUCKET_SIZE)
         # Composite sort key: lexicographic (low nibble, high part), as
@@ -124,8 +120,16 @@ def pack_table(table, fp_bits: int) -> bytes:
             [(index, INDEX_BITS)]
             + [(np.ascontiguousarray(highs[:, j]), high_bits) for j in range(4)]
         )
-    if np is not None and isinstance(table, np.ndarray):
+    if isinstance(table, np.ndarray):
         table = [int(fp) for fp in table]
+    return pack_table_py(table, fp_bits)
+
+
+def pack_table_py(table: Sequence[int], fp_bits: int) -> bytes:
+    """Scalar :func:`pack_table` over a list of ints: one
+    :func:`encode_bucket` per bucket through a bit accumulator (the
+    codec's specification)."""
+    high_bits = fp_bits - 4
     acc = 0
     acc_bits = 0
     out = bytearray()
@@ -153,16 +157,16 @@ def unpack_table(data: bytes, num_buckets: int, fp_bits: int) -> List[int]:
     """Inverse of :func:`pack_table` (always returns a list of ints; use
     :func:`unpack_table_array` on the array-native path)."""
     table = unpack_table_array(data, num_buckets, fp_bits)
-    if np is not None and isinstance(table, np.ndarray):
+    if isinstance(table, np.ndarray):
         return [int(fp) for fp in table]
     return table
 
 
 def unpack_table_array(data: bytes, num_buckets: int, fp_bits: int):
-    """Decode a semi-sorted payload into a flat slot table (uint64 array
-    when numpy is available, else a list)."""
+    """Decode a semi-sorted payload into a flat slot table (a uint64
+    array; a list for fingerprints too wide for the vector kernels)."""
     high_bits = fp_bits - 4
-    if np is not None and high_bits <= bitpack.MAX_FIELD_BITS:
+    if high_bits <= bitpack.MAX_FIELD_BITS:
         if len(data) < packed_size_bytes(num_buckets, fp_bits):
             raise ValueError("semi-sorted payload truncated")
         fields = bitpack.unpack_records(
@@ -179,6 +183,13 @@ def unpack_table_array(data: bytes, num_buckets: int, fp_bits: int):
         for j in range(BUCKET_SIZE):
             table[j::BUCKET_SIZE] = (fields[1 + j] << np.uint64(4)) | nibbles[:, j]
         return table
+    return unpack_table_py(data, num_buckets, fp_bits)
+
+
+def unpack_table_py(data: bytes, num_buckets: int, fp_bits: int) -> List[int]:
+    """Scalar :func:`unpack_table_array`: a bit reader feeding one
+    :func:`decode_bucket` per bucket (the codec's specification)."""
+    high_bits = fp_bits - 4
     acc = 0
     acc_bits = 0
     pos = 0

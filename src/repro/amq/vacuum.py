@@ -26,13 +26,17 @@ contributes only the chunked geometry and the two-class partner map.
 
 from __future__ import annotations
 
+from functools import cached_property
+
+import numpy as np
+
 from repro.amq.base import FilterParams
 from repro.amq.bucketstore import (
     DEFAULT_BUCKET_SIZE,
     DEFAULT_MAX_KICKS,
     BucketTableFilter,
 )
-from repro.amq.hashing import hash_int_np, np
+from repro.amq.hashing import hash_int_np
 from repro.amq.sizing import vacuum_geometry
 
 __all__ = ["VacuumFilter", "DEFAULT_BUCKET_SIZE", "DEFAULT_MAX_KICKS"]
@@ -44,15 +48,15 @@ class VacuumFilter(BucketTableFilter):
     name = "vacuum"
     _RNG_SALT = 0x7ACC
 
-    def _geometry(self, params: FilterParams) -> int:
-        num_buckets, self._chunk_len = vacuum_geometry(
-            params.capacity, params.load_factor, self._bucket_size
-        )
-        return num_buckets
+    @classmethod
+    def _geometry(cls, params: FilterParams, bucket_size: int) -> int:
+        return vacuum_geometry(params.capacity, params.load_factor, bucket_size)[0]
 
-    @property
+    @cached_property
     def chunk_len(self) -> int:
-        return self._chunk_len
+        return vacuum_geometry(
+            self._params.capacity, self._params.load_factor, self._bucket_size
+        )[1]
 
     def _alt_index(self, index: int, fp: int) -> int:
         """Partner bucket of ``index`` for fingerprint ``fp``.
@@ -68,14 +72,14 @@ class VacuumFilter(BucketTableFilter):
         h = self._fp_hash(fp)
         if fp & 1 == 0:
             return (h - index) % self._num_buckets
-        base = index - (index % self._chunk_len)
-        return base + ((index - base) ^ (h % self._chunk_len))
+        base = index - (index % self.chunk_len)
+        return base + ((index - base) ^ (h % self.chunk_len))
 
     def _alt_index_np(self, index, fp):
         """Vectorized :meth:`_alt_index` (both fingerprint classes)."""
         u64 = np.uint64
         nb = u64(self._num_buckets)
-        chunk = u64(self._chunk_len)
+        chunk = u64(self.chunk_len)
         h = hash_int_np(fp, self._params.seed)
         # Class 0: (h - index) % m, computed without signed underflow.
         reflect = (h % nb + nb - index) % nb

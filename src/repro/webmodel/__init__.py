@@ -29,10 +29,8 @@ from repro.webmodel.session_sim import (
 )
 from repro.webmodel.churn import (
     ChurnConfig,
-    ChurnEngine,
     ChurnResult,
     StepMetrics,
-    run_churn,
 )
 from repro.webmodel.nonweb import (
     ScenarioConfig,
@@ -60,10 +58,8 @@ __all__ = [
     "SessionResult",
     "BrowsingSessionSimulator",
     "ChurnConfig",
-    "ChurnEngine",
     "ChurnResult",
     "StepMetrics",
-    "run_churn",
     "ScenarioConfig",
     "ScenarioResult",
     "simulate_scenario",

@@ -37,10 +37,7 @@ from array import array
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
-try:  # numpy is a declared dependency; only the batch views need it
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.pki.authority import Hierarchy, ICAPath, ServerCredential, build_hierarchy

@@ -35,6 +35,15 @@ from repro.amq.sizing import (
 )
 from repro.errors import FilterFullError
 
+
+class _ReferenceFilter(AMQFilter):
+    """Base of the references: they are never decoded from the wire."""
+
+    @classmethod
+    def expected_payload_bytes(cls, params: FilterParams) -> int:
+        raise NotImplementedError("reference models only serialize")
+
+
 # ---------------------------------------------------------------------------
 # Frozen semi-sort codec (scalar; copied from repro.amq.semisort @ PR 3)
 # ---------------------------------------------------------------------------
@@ -109,7 +118,7 @@ def _optimal_geometry(capacity: int, fpp: float) -> "tuple[int, int]":
     return m, k
 
 
-class ReferenceBloomFilter(AMQFilter):
+class ReferenceBloomFilter(_ReferenceFilter):
     name = "bloom"
     supports_deletion = False
 
@@ -153,7 +162,7 @@ class ReferenceBloomFilter(AMQFilter):
         raise NotImplementedError("reference models only serialize")
 
 
-class ReferenceCountingBloomFilter(AMQFilter):
+class ReferenceCountingBloomFilter(_ReferenceFilter):
     name = "counting-bloom"
     supports_deletion = True
 
@@ -223,7 +232,7 @@ class ReferenceCountingBloomFilter(AMQFilter):
 # ---------------------------------------------------------------------------
 
 
-class _ReferenceBucketTable(AMQFilter):
+class _ReferenceBucketTable(_ReferenceFilter):
     """Shared scalar core of the cuckoo/vacuum references."""
 
     _BUCKET_SIZE = 4
@@ -363,7 +372,7 @@ class ReferenceVacuumFilter(_ReferenceBucketTable):
 # ---------------------------------------------------------------------------
 
 
-class ReferenceQuotientFilter(AMQFilter):
+class ReferenceQuotientFilter(_ReferenceFilter):
     name = "quotient"
     supports_deletion = True
 
@@ -549,7 +558,7 @@ class ReferenceQuotientFilter(AMQFilter):
 _XOR_MAX_ATTEMPTS = 64
 
 
-class ReferenceXorFilter(AMQFilter):
+class ReferenceXorFilter(_ReferenceFilter):
     name = "xor"
     supports_deletion = False
 

@@ -19,6 +19,7 @@ from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
     invariant,
+    multiple,
     rule,
 )
 from hypothesis import strategies as st
@@ -60,6 +61,16 @@ class FilterMachine(RuleBasedStateMachine):
         )
         self.filt = self.filter_cls(params)
         self.reference = {}  # item -> multiplicity
+
+    @initialize(
+        target=items,
+        raws=st.lists(st.binary(min_size=1, max_size=24), min_size=1, max_size=4),
+    )
+    def seed_items(self, raws):
+        # Every other rule draws from ``items``; an empty bundle makes
+        # Hypothesis discard those draws until ``make_item`` happens to
+        # run, which can trip the filter_too_much health check.
+        return multiple(*raws)
 
     @rule(target=items, raw=st.binary(min_size=1, max_size=24))
     def make_item(self, raw):

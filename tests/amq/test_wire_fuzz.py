@@ -12,6 +12,9 @@ Two different hardness contracts, tested separately:
   contract is therefore: every corruption either raises
   ``FilterSerializationError`` or yields a filter whose declared
   geometry matches its payload; no foreign exception, no crash, ever.
+  Corrupt headers are also held to a memory bound linear in the image
+  length (:mod:`tests._membound`): a flipped capacity bit must not make
+  the decoder allocate the table that capacity implies.
 """
 
 import pytest
@@ -31,6 +34,7 @@ from repro.amq import (
 )
 from repro.amq.serialization import serialized_overhead_bytes
 from repro.errors import FilterSerializationError
+from tests._membound import allocation_bound
 from tests.conftest import make_items
 
 FAMILIES = sorted(cls.name for cls in FILTER_REGISTRY.values())
@@ -133,7 +137,8 @@ class TestAMQImageHardness:
                 corrupt = bytearray(wire)
                 corrupt[byte_index] ^= 1 << bit
                 try:
-                    filt = deserialize_filter(bytes(corrupt))
+                    with allocation_bound(len(corrupt)):
+                        filt = deserialize_filter(bytes(corrupt))
                 except FilterSerializationError:
                     continue
                 # A surviving decode (seed bits, tolerated header slack)
@@ -180,7 +185,8 @@ class TestAMQImageHardness:
             index = data.draw(st.integers(0, len(wire) - 1))
             wire[index] = data.draw(st.integers(0, 255))
         try:
-            filt = deserialize_filter(bytes(wire))
+            with allocation_bound(len(wire)):
+                filt = deserialize_filter(bytes(wire))
         except FilterSerializationError:
             return
         assert serialize_filter(filt)

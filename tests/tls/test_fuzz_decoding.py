@@ -3,7 +3,9 @@ parse), never escape with anything else.
 
 The server feeds attacker-controlled bytes into these paths (ClientHello,
 extensions, filter payloads), so 'crashes cleanly' is a security property
-of the suppression deployment, not just hygiene.
+of the suppression deployment, not just hygiene. So is bounded memory:
+every decode runs under :func:`tests._membound.allocation_bound`, which
+caps its peak allocation by the length of the input.
 """
 
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from repro.tls.messages import (
     decode_handshake,
 )
 from repro.tls.record import parse_records
+from tests._membound import allocation_bound
 
 fuzz = settings(max_examples=150, deadline=None)
 
@@ -28,7 +31,8 @@ fuzz = settings(max_examples=150, deadline=None)
 @given(blob=st.binary(max_size=256))
 def test_decode_handshake_never_crashes(blob):
     try:
-        decode_handshake(blob)
+        with allocation_bound(len(blob)):
+            decode_handshake(blob)
     except DecodeError:
         pass
 
@@ -37,7 +41,8 @@ def test_decode_handshake_never_crashes(blob):
 @given(blob=st.binary(max_size=256))
 def test_record_parser_never_crashes(blob):
     try:
-        parse_records(blob)
+        with allocation_bound(len(blob)):
+            parse_records(blob)
     except DecodeError:
         pass
 
@@ -46,7 +51,8 @@ def test_record_parser_never_crashes(blob):
 @given(blob=st.binary(max_size=128))
 def test_extension_decoder_never_crashes(blob):
     try:
-        decode_extensions(blob)
+        with allocation_bound(len(blob)):
+            decode_extensions(blob)
     except DecodeError:
         pass
 
@@ -55,7 +61,8 @@ def test_extension_decoder_never_crashes(blob):
 @given(blob=st.binary(max_size=128))
 def test_keyshare_decoder_never_crashes(blob):
     try:
-        KeyShareEntry.decode(blob)
+        with allocation_bound(len(blob)):
+            KeyShareEntry.decode(blob)
     except DecodeError:
         pass
 
@@ -64,7 +71,8 @@ def test_keyshare_decoder_never_crashes(blob):
 @given(blob=st.binary(max_size=256))
 def test_certificate_message_decoder_never_crashes(blob):
     try:
-        CertificateMessage.decode_body(blob)
+        with allocation_bound(len(blob)):
+            CertificateMessage.decode_body(blob)
     except DecodeError:
         pass
 
@@ -74,7 +82,8 @@ def test_certificate_message_decoder_never_crashes(blob):
 def test_hello_decoders_never_crash(blob):
     for decoder in (ClientHello.decode_body, ServerHello.decode_body):
         try:
-            decoder(blob)
+            with allocation_bound(len(blob)):
+                decoder(blob)
         except DecodeError:
             pass
 
@@ -84,7 +93,8 @@ def test_hello_decoders_never_crash(blob):
 def test_filter_deserializer_never_crashes(blob):
     """The server-side entry point for attacker-controlled filter bytes."""
     try:
-        deserialize_filter(blob)
+        with allocation_bound(len(blob)):
+            deserialize_filter(blob)
     except (FilterSerializationError, ReproError):
         pass
 
@@ -93,7 +103,8 @@ def test_filter_deserializer_never_crashes(blob):
 @given(blob=st.binary(max_size=256))
 def test_ech_decryptor_never_crashes(blob):
     try:
-        decrypt_client_hello(blob, ECHConfig(1, "p.example"))
+        with allocation_bound(len(blob)):
+            decrypt_client_hello(blob, ECHConfig(1, "p.example"))
     except DecodeError:
         pass
 
@@ -112,7 +123,8 @@ def test_server_survives_arbitrary_client_hello_bytes(blob):
         )
     )
     try:
-        server.process_client_hello(blob)
+        with allocation_bound(len(blob)):
+            server.process_client_hello(blob)
     except DecodeError:
         pass
 

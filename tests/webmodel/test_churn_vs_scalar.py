@@ -115,8 +115,7 @@ def test_stale_generations_pay_retries_in_both_engines(filter_kind):
 
 def test_fresh_generations_never_retry_at_tight_fpp():
     """k=1 re-captures every epoch: the advertised payload always matches
-    the canonical cache, so at fpp=1e-3 no handshake pays a retry (the
-    fleet engine's freshness property, ported to the cohort)."""
+    the canonical cache, so at fpp=1e-3 no handshake pays a retry."""
     config = _config(
         num_clients=12, handshakes_per_client=2, steps=10,
         payload_refresh_every=1, seed=7,
