@@ -1,21 +1,20 @@
 """Ablation — AMQ structure choice in the end-to-end pipeline.
 
-Runs the Fig. 5 browsing pipeline with each filter (including the Bloom
+Runs the Fig. 5 cohort browsing engine with each filter (including the Bloom
 baselines the paper rules out for deployability) over an identical
 workload and compares extension size, reduction and false positives.
 """
 
-from repro.experiments import ablations
+from repro.experiments import ablations, fig5
 
 
 def test_ablation_filter_choice(benchmark, population, scale):
+    config = fig5.paper_config(
+        num_users=max(1, scale["runs"] // 3), seed=3, population=population.config
+    )
     rows = benchmark.pedantic(
         ablations.filter_choice,
-        kwargs={
-            "num_domains": max(30, scale["domains"] // 3),
-            "runs": 1,
-            "population": population,
-        },
+        kwargs={"config": config, "population": population},
         rounds=1,
         iterations=1,
     )

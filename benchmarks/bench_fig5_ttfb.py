@@ -1,22 +1,25 @@
 """Figure 5-right — time to first byte per scenario.
 
 TTFB distributions for RSA-2048 / Dilithium V / SPHINCS+-128f with and
-without ICA suppression, with false positives doubling the TTFB as in the
-paper's method.
+without ICA suppression, computed from the cohort engine's per-handshake
+columns, with false positives doubling the TTFB as in the paper's method.
 """
 
 from repro.experiments import fig5
-from repro.webmodel.session_sim import BrowsingSessionSimulator, SessionConfig
+from repro.webmodel.cohort import run_cohort
 
 
 def test_fig5_right_ttfb(benchmark, population, scale):
-    sim = BrowsingSessionSimulator(
-        SessionConfig(seed=1, num_domains=scale["domains"]),
-        population=population,
+    config = fig5.paper_config(
+        num_users=scale["runs"], seed=1, population=population.config
     )
-    results = sim.run_many(scale["runs"])
+    result = run_cohort(config, population=population)
+    lookup_seconds = fig5.measure_lookup_seconds(config, population)
     scenarios = benchmark.pedantic(
-        fig5.ttfb_scenarios, args=(results,), rounds=1, iterations=1
+        fig5.ttfb_scenarios,
+        args=(result, lookup_seconds),
+        rounds=1,
+        iterations=1,
     )
     print()
     print(fig5.format_ttfb(scenarios))

@@ -1,44 +1,51 @@
 #!/usr/bin/env python3
-"""A user browsing the web over PQ TLS — the paper's §5.3 scenario.
+"""Users browsing the web over PQ TLS — the paper's §5.3 scenario.
 
-Simulates a user visiting domains from a synthetic Tranco-style ranking
-(Zipf-1.9 visits, Pareto-2.5 pages, third-party content), running a real
-TLS handshake with ICA suppression against every unique destination, then
-prints the Fig. 5 style summary: data saved per algorithm, TTFB impact,
-false positives.
+Simulates a cohort of users, each drawing destinations from a synthetic
+Tranco-style ranking (a Zipf stream of first-party domains and their
+third-party origins) at the paper's per-session calibration (~1950
+unique destinations per user), with ICA suppression on every handshake.
+Then prints the Fig. 5 style summary: data saved per algorithm, TTFB
+impact, false positives.
 
-Run:  python examples/browsing_session.py [num_domains]
+Run:  python examples/browsing_session.py [num_users]
 """
 
 import sys
 
 from repro.experiments import fig5
 from repro.netsim.metrics import summarize
-from repro.webmodel import BrowsingSessionSimulator, SessionConfig
+from repro.webmodel.cohort import format_cohort, run_cohort
+from repro.webmodel.population import ICAPopulation
 
-num_domains = int(sys.argv[1]) if len(sys.argv) > 1 else 100
+num_users = int(sys.argv[1]) if len(sys.argv) > 1 else 3
 
-print(f"simulating a browsing session over {num_domains} domains...\n")
-simulator = BrowsingSessionSimulator(
-    SessionConfig(seed=11, num_domains=num_domains)
-)
-results = simulator.run_many(runs=3)
-
-volume = fig5.data_volume(results)
-print(fig5.format_data_volume(volume))
+print(f"simulating {num_users} browsing sessions...\n")
+config = fig5.paper_config(num_users=num_users, seed=11)
+population = ICAPopulation(config.population)
+result = run_cohort(config, population=population)
+print(format_cohort(result))
 
 print()
-print(fig5.format_ttfb(fig5.ttfb_scenarios(results)))
+print(fig5.format_data_volume(fig5.data_volume(result)))
 
-result = results[0]
-sphincs_full = summarize(result.ttfb_samples("sphincs-128f", False))
-sphincs_sup = summarize(result.ttfb_samples("sphincs-128f", True))
+lookup_seconds = fig5.measure_lookup_seconds(config, population)
+print()
+print(fig5.format_ttfb(fig5.ttfb_scenarios(result, lookup_seconds)))
+
+sphincs_full = summarize(
+    fig5.ttfb_samples(result, "sphincs-128f", False, lookup_seconds).tolist()
+)
+sphincs_sup = summarize(
+    fig5.ttfb_samples(result, "sphincs-128f", True, lookup_seconds).tolist()
+)
 print(
     f"\nSPHINCS+-128f p99 TTFB: {1000 * sphincs_full.p99:.0f} ms full vs "
     f"{1000 * sphincs_sup.p99:.0f} ms suppressed "
     f"({1000 * (sphincs_full.p99 - sphincs_sup.p99):.0f} ms saved in the tail)"
 )
 print(
-    f"server-side filter stats: {simulator.server_suppressor.lookups} lookups, "
-    f"{simulator.server_suppressor.hits} suppression hits"
+    f"filter lookups: {1e6 * lookup_seconds:.2f} us per ICA on the server, "
+    f"{result.stats.false_positives} false positives in "
+    f"{result.stats.handshakes} handshakes"
 )

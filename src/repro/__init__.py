@@ -19,7 +19,7 @@ The package is organized as one subpackage per subsystem:
     Discrete-event network simulator with a TCP initcwnd flight model.
 ``repro.webmodel``
     Tranco-style web workload: domain rankings, browsing behaviour, ICA
-    population models, crawl and browsing-session simulators.
+    population models, the crawl simulator and the cohort browsing engine.
 ``repro.core``
     The paper's contribution: client/server ICA-suppression pipelines,
     filter capacity planning, the IC-filter TLS extension payload, and the

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro list                 # what can be regenerated
     python -m repro table1               # one artifact
-    python -m repro fig5-left --runs 3 --domains 100
+    python -m repro fig5-left --users 3
     python -m repro all                  # everything (reduced scale)
 
 Each artifact prints the same rows/series the corresponding benchmark
@@ -70,19 +70,55 @@ def _run_fig4(args) -> None:
     print(fig4.format_fpp_sweep(fig4.fpp_sweep()))
 
 
-def _sessions(args):
-    from repro.webmodel.session_sim import BrowsingSessionSimulator, SessionConfig
+def _browsing(args):
+    """The Fig. 5 cohort the flags describe (paper calibration by
+    default), run on the engine ``--engine`` names; returns
+    (config, population, result)."""
+    from repro.webmodel.cohort import run_cohort
+    from repro.webmodel.cohort_reference import run_cohort_reference
+    from repro.webmodel.population import ICAPopulation
 
-    sim = BrowsingSessionSimulator(
-        SessionConfig(seed=1, num_domains=args.domains)
+    config = _cohort_config(args)
+    population = ICAPopulation(config.population)
+    if args.engine == "scalar":
+        result = run_cohort_reference(config, population=population)
+    else:
+        result = run_cohort(config, jobs=args.jobs, population=population)
+    return config, population, result
+
+
+def _cohort_config(args):
+    from repro.experiments import fig5
+
+    overrides = dict(
+        payload_refresh_every=args.payload_refresh_every,
+        seed=args.cohort_seed,
     )
-    return sim.run_many(args.runs, jobs=args.jobs)
+    if args.users:
+        overrides["num_users"] = args.users
+    if args.handshakes_per_user:
+        overrides["handshakes_per_user"] = args.handshakes_per_user
+    if args.block_users:
+        overrides["block_users"] = args.block_users
+    return fig5.paper_config(**overrides)
+
+
+def _print_fig5_left(result) -> None:
+    from repro.experiments import fig5
+
+    print(fig5.format_data_volume(fig5.data_volume(result)))
+
+
+def _print_fig5_right(config, population, result) -> None:
+    from repro.experiments import fig5
+
+    lookup_seconds = fig5.measure_lookup_seconds(config, population)
+    print(fig5.format_ttfb(fig5.ttfb_scenarios(result, lookup_seconds)))
 
 
 def _run_fig5_left(args) -> None:
-    from repro.experiments import fig5
-
-    print(fig5.format_data_volume(fig5.data_volume(_sessions(args))))
+    _, _, result = _browsing(args)
+    _print_fig5_left(result)
 
 
 def _run_fig5_center(args) -> None:
@@ -95,42 +131,23 @@ def _run_fig5_center(args) -> None:
 
 
 def _run_fig5_right(args) -> None:
-    from repro.experiments import fig5
-
-    print(fig5.format_ttfb(fig5.ttfb_scenarios(_sessions(args))))
+    _print_fig5_right(*_browsing(args))
 
 
 def _run_fig5(args) -> None:
-    """Composite Fig. 5 artifact; ``--cohort`` switches to the columnar
-    cohort engine (or its scalar reference via ``--engine scalar``)."""
-    if not args.cohort:
-        _run_fig5_left(args)
-        print()
-        _run_fig5_center(args)
-        print()
-        _run_fig5_right(args)
-        return
-    from repro.webmodel.cohort import (
-        CohortConfig,
-        cohort_json_doc,
-        format_cohort,
-        run_cohort,
-    )
+    """Composite Fig. 5 artifact: one cohort run (columnar engine, or its
+    scalar reference via ``--engine scalar``) summarized, then the three
+    panels; ``--json-out`` writes the run's ``repro.cohort/v1`` doc."""
+    from repro.webmodel.cohort import cohort_json_doc, format_cohort
 
-    config = CohortConfig(
-        num_users=args.users,
-        handshakes_per_user=args.handshakes_per_user,
-        payload_refresh_every=args.payload_refresh_every,
-        seed=args.cohort_seed,
-        **({"block_users": args.block_users} if args.block_users else {}),
-    )
-    if args.engine == "scalar":
-        from repro.webmodel.cohort_reference import run_cohort_reference
-
-        result = run_cohort_reference(config)
-    else:
-        result = run_cohort(config, jobs=args.jobs)
+    config, population, result = _browsing(args)
     print(format_cohort(result))
+    print()
+    _print_fig5_left(result)
+    print()
+    _run_fig5_center(args)
+    print()
+    _print_fig5_right(config, population, result)
     if args.json_out:
         import json
 
@@ -149,9 +166,7 @@ def _run_ablation_initcwnd(args) -> None:
 def _run_ablation_filters(args) -> None:
     from repro.experiments import ablations
 
-    rows = ablations.filter_choice(
-        num_domains=max(20, args.domains // 2), runs=1, jobs=args.jobs
-    )
+    rows = ablations.filter_choice(config=_cohort_config(args), jobs=args.jobs)
     print(ablations.format_filter_choice(rows))
 
 
@@ -309,11 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--runs", type=int, default=3,
-        help="browsing-session repetitions (paper: 10)",
+        help="repetitions: churn trials, browsing sessions in 'report'",
     )
     parser.add_argument(
         "--domains", type=int, default=100,
-        help="domains per browsing session (paper: 200)",
+        help="destinations for the baselines and warmup artifacts",
     )
     parser.add_argument(
         "--crawl", type=int, default=10_000,
@@ -331,16 +346,18 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--cohort", action="store_true",
-        help="fig5: run the columnar cohort engine instead of the panels",
+        "--users", type=int, default=0,
+        help=(
+            "fig5*/ablation-filters: cohort size, one user per browsing "
+            "session (0 = the paper's 10)"
+        ),
     )
     parser.add_argument(
-        "--users", type=int, default=10_000,
-        help="cohort size (simulated users) for 'fig5 --cohort'",
-    )
-    parser.add_argument(
-        "--handshakes-per-user", type=int, default=10,
-        help="destination draws per cohort user (repeats reuse the session)",
+        "--handshakes-per-user", type=int, default=0,
+        help=(
+            "destination draws per cohort user; repeats reuse the session "
+            "(0 = the paper calibration, ~1950 unique destinations)"
+        ),
     )
     parser.add_argument(
         "--payload-refresh-every", type=int, default=0,
@@ -401,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--json-out", metavar="PATH", default=None,
         help=(
             "write the artifact's machine-readable summary to PATH "
-            "(churn: repro.churn/v1; fig5 --cohort: repro.cohort/v1)"
+            "(churn: repro.churn/v1; fig5: repro.cohort/v1)"
         ),
     )
     parser.add_argument(

@@ -6,24 +6,24 @@
   initiator should omit the extension.
 * **filter choice**: end-to-end browsing-session reduction, extension
   size and false positives per AMQ structure (incl. the Bloom baseline
-  that cannot delete).
+  that cannot delete), on the Fig. 5 cohort engine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import List, Optional, Sequence
+
+import numpy as np
 
 from repro.analysis.tables import format_table
 from repro.core.estimator import crypto_cpu_seconds
+from repro.experiments import fig5
+from repro.experiments.flight_probe import flight_sizes
 from repro.netsim.tcp import TCPConfig, extra_flights, handshake_duration_s
 from repro.pki.algorithms import get_signature_algorithm
+from repro.webmodel.cohort import CohortConfig, base_suppressor, run_cohort
 from repro.webmodel.population import ICAPopulation, PopulationConfig
-from repro.webmodel.session_sim import (
-    BrowsingSessionSimulator,
-    SessionConfig,
-    flight_sizes,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -113,34 +113,38 @@ def filter_choice(
     kinds: Sequence[str] = (
         "bloom", "counting-bloom", "cuckoo", "vacuum", "quotient", "xor"
     ),
-    num_domains: int = 60,
-    runs: int = 2,
-    seed: int = 3,
+    config: Optional[CohortConfig] = None,
     population: Optional[ICAPopulation] = None,
     jobs: Optional[int] = 1,
 ) -> List[FilterChoiceRow]:
-    """End-to-end browsing impact per structure (one shared population so
-    the workload is identical across rows). ``jobs`` shards each
-    structure's runs across processes (``None``/``0`` = all cores)."""
-    population = population or ICAPopulation(PopulationConfig(seed=seed))
+    """End-to-end browsing impact per structure: ``config`` (default: two
+    paper-calibrated sessions at seed 3) rerun with each ``filter_kind``
+    over one shared population, so the workload is identical across rows.
+    ``jobs`` shards each cohort run across processes (``None``/``0`` =
+    all cores)."""
+    if config is None:
+        population = population or ICAPopulation(PopulationConfig(seed=3))
+        config = fig5.paper_config(
+            num_users=2, seed=3, population=population.config
+        )
+    population = population or ICAPopulation(config.population)
     rows = []
     for kind in kinds:
-        sim = BrowsingSessionSimulator(
-            SessionConfig(
-                num_domains=num_domains, filter_kind=kind, seed=seed
-            ),
-            population=population,
-        )
-        results = sim.run_many(runs, jobs=jobs)
+        kind_config = replace(config, filter_kind=kind)
+        result = run_cohort(kind_config, jobs=jobs, population=population)
+        users = result.stats.users
         rows.append(
             FilterChoiceRow(
                 filter_kind=kind,
-                extension_bytes=results[0].filter_payload_bytes,
-                reduction=sum(r.ica_reduction_ratio() for r in results) / runs,
-                known_rate=sum(r.known_ica_rate for r in results) / runs,
-                false_positives=sum(r.false_positives for r in results) / runs,
-                lookup_us=results[0].filter_lookup_seconds * 1e6,
-                effective_fpp=sim.suppressor.filter.effective_fpp(),
+                extension_bytes=result.stats.filter_payload_bytes,
+                reduction=float(np.mean(fig5.reduction_per_user(result))),
+                known_rate=float(np.mean(fig5.known_rate_per_user(result))),
+                false_positives=result.stats.false_positives / users,
+                lookup_us=fig5.measure_lookup_seconds(kind_config, population)
+                * 1e6,
+                effective_fpp=base_suppressor(
+                    kind_config, population
+                ).filter.effective_fpp(),
             )
         )
     return rows
@@ -160,7 +164,7 @@ def format_filter_choice(rows: Sequence[FilterChoiceRow]) -> str:
         for r in rows
     ]
     return format_table(
-        ["filter", "payload B", "ICA reduction", "known rate", "FPs/run",
+        ["filter", "payload B", "ICA reduction", "known rate", "FPs/session",
          "lookup us", "eff. FPP"],
         table_rows,
         title="Ablation — AMQ structure choice in the Fig. 5 pipeline",

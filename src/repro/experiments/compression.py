@@ -15,7 +15,7 @@ from typing import List, Sequence
 
 from repro.analysis.tables import format_table
 from repro.tls.compression import CompressionAccounting, compare_mechanisms
-from repro.webmodel.session_sim import _micro_credential
+from repro.experiments.flight_probe import _micro_credential
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from repro.analysis.tables import format_table
 from repro.netsim.tcp import TCPConfig, flights_needed
 from repro.tls.messages import split_handshake_stream
 from repro.tls.record import wire_size
-from repro.webmodel.session_sim import _micro_credential, flight_sizes
+from repro.experiments.flight_probe import _micro_credential, flight_sizes
 from repro.pki.keys import KeyPair
 from repro.pki.algorithms import get_signature_algorithm
 from repro.pki.ocsp import OCSPStaple

@@ -1,42 +1,59 @@
 """Figure 5 — IC-suppression impact estimation.
 
-Three panels driven by the browsing-session simulator (§5.3: 10 runs x
-200 domains, cuckoo filter, 0.9 load factor, 0.1% FPP, the June '22 hot
-ICA set):
+Three panels driven by the cohort browsing engine
+(:func:`repro.webmodel.cohort.run_cohort`, or its per-handshake TLS
+reference :func:`repro.webmodel.cohort_reference.run_cohort_reference`).  The paper's §5.3 setup — 10 runs x 200 domains,
+cuckoo filter, 0.9 load factor, 0.1% FPP, the June '22 hot ICA set — is
+a 10-user cohort whose per-user destination draws are calibrated to the
+paper's ~1 950 unique destinations per session (:func:`paper_config`):
 
 * **left** — ICA data exchanged with/without suppression, measured for
   the baseline PKI and extrapolated to Dilithium III/V and SPHINCS+-128f
   (paper: ~73% reduction; ~15 MB / ~45 MB saved);
 * **center** — PQ-authentication latency over RSA-2048 as a function of
   RTT, with the line-of-best-fit latency model;
-* **right** — TTFB distributions per scenario (FP doubles the TTFB).
+* **right** — TTFB distributions per scenario (FP doubles the TTFB),
+  computed from the engine's per-handshake columns.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro import obs
 from repro.analysis.regression import LinearFit, linear_fit
 from repro.analysis.tables import format_table
 from repro.core.estimator import crypto_cpu_seconds
-from repro.errors import ConfigurationError
+from repro.experiments.flight_probe import flight_sizes
 from repro.netsim.metrics import Summary, summarize
-from repro.netsim.tcp import TCPConfig, handshake_duration_s
+from repro.netsim.tcp import TCPConfig, handshake_duration_s, time_to_first_byte_s
 from repro.pki.algorithms import get_signature_algorithm
 from repro.pki.certificate import DEFAULT_ATTRIBUTE_BYTES
-from repro.webmodel.population import ICAPopulation, PopulationConfig
-from repro.webmodel.session_sim import (
-    BrowsingSessionSimulator,
-    SessionConfig,
-    SessionResult,
-    flight_sizes,
-)
+from repro.webmodel.cohort import CohortConfig, CohortResult, base_suppressor
+from repro.webmodel.population import ICAPopulation
 
 PAPER_REDUCTION = 0.73
-PAPER_RUNS = 10
-PAPER_DOMAINS = 200
+#: One cohort user per browsing session of the paper (10 runs).
+PAPER_USERS = 10
+#: Destination draws per user, calibrated so the mean number of unique
+#: destinations (handshakes) per user is the paper's ~1 950 for its
+#: 200-domain sessions (1 962 at cohort and population seed 0, 1 938 at
+#: seed 1).
+PAPER_DRAWS = 4_300
+
+#: The flight model's fixed inputs: the paper's key exchange, the Linux
+#: default initial window, and OCSP + two SCTs stapled on every flight.
+KEM_NAME = "ntru-hps-509"
+INITCWND_SEGMENTS = 10
+INCLUDE_STAPLES = True
+#: ClientHello extension framing around the filter payload.
+EXTENSION_FRAMING_BYTES = 4
+
+_TCP = TCPConfig(initcwnd_segments=INITCWND_SEGMENTS)
 
 
 # ---------------------------------------------------------------------------
@@ -44,34 +61,60 @@ PAPER_DOMAINS = 200
 # ---------------------------------------------------------------------------
 
 
-def run_sessions(
-    runs: int = PAPER_RUNS,
-    num_domains: Optional[int] = None,
-    config: Optional[SessionConfig] = None,
-    population: Optional[ICAPopulation] = None,
-    jobs: Optional[int] = 1,
-) -> List[SessionResult]:
-    """The shared Fig. 5 simulation: ``runs`` browsing sessions.
+def paper_config(**overrides) -> CohortConfig:
+    """The paper's 10 x 200-domain browsing sessions as a cohort config;
+    ``overrides`` replace any field (e.g. ``seed``, ``population``)."""
+    fields = dict(num_users=PAPER_USERS, handshakes_per_user=PAPER_DRAWS)
+    fields.update(overrides)
+    return CohortConfig(**fields)
 
-    ``num_domains`` is a convenience for the default config; combining it
-    with an explicit ``config`` whose ``num_domains`` disagrees is a
-    conflict and raises (the old behaviour silently rebuilt the config).
-    ``jobs`` shards the runs across processes (``None``/``0`` = all
-    cores).
-    """
-    if config is None:
-        config = SessionConfig(
-            num_domains=PAPER_DOMAINS if num_domains is None else num_domains,
-            seed=1,
-        )
-    elif num_domains is not None and config.num_domains != num_domains:
-        raise ConfigurationError(
-            f"conflicting session sizes: config.num_domains="
-            f"{config.num_domains} but num_domains={num_domains}; pass one "
-            "or use dataclasses.replace(config, num_domains=...)"
-        )
-    simulator = BrowsingSessionSimulator(config, population=population)
-    return simulator.run_many(runs, jobs=jobs)
+
+#: Verification-path batch size used to meter per-lookup cost: the
+#: server queries a whole path per handshake via ``contains_batch``, and
+#: synthetic chains carry up to a few ICAs (Table 2 mix).
+_PROBE_PATH_LEN = 4
+
+
+def measure_lookup_seconds(
+    config: CohortConfig, population: Optional[ICAPopulation] = None
+) -> float:
+    """Per-item filter lookup cost as the server pays it: one
+    ``contains_batch`` per verification path (not one ``contains`` per
+    certificate), on the filter a cohort user starts from.  Wall-clock
+    measured, so it is an input to :func:`ttfb_scenarios`, not part of
+    the (deterministic) cohort result."""
+    population = population or ICAPopulation(config.population)
+    filt = base_suppressor(config, population).filter
+    probes = [bytes([i % 256]) * 32 for i in range(2000)]
+    start = time.perf_counter()
+    for offset in range(0, len(probes), _PROBE_PATH_LEN):
+        filt.contains_batch(probes[offset : offset + _PROBE_PATH_LEN])
+    return (time.perf_counter() - start) / len(probes)
+
+
+def _per_user_ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
+    """Elementwise ``numerator / denominator``, 0 where a user saw no ICAs."""
+    safe = np.where(denominator > 0, denominator, 1)
+    return np.where(denominator > 0, numerator / safe, 0.0)
+
+
+def reduction_per_user(result: CohortResult) -> np.ndarray:
+    """Each user's fractional reduction in exchanged ICA certificates
+    (retries paid; algorithm-free, since every ICA cert has the same size
+    within a deployment)."""
+    cols = result.columns
+    return _per_user_ratio(
+        cols.icas_encountered - cols.icas_sent_total, cols.icas_encountered
+    )
+
+
+def known_rate_per_user(result: CohortResult) -> np.ndarray:
+    """Each user's share of encountered ICAs suppressed on the first
+    flight (the paper's 'common ICA certs' rate, 69-74 %)."""
+    cols = result.columns
+    return _per_user_ratio(
+        cols.icas_encountered - cols.icas_sent_first, cols.icas_encountered
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +148,7 @@ class DataVolumeResult:
 
 
 def data_volume(
-    results: Sequence[SessionResult],
+    result: CohortResult,
     algorithms: Sequence[str] = (
         "rsa-2048",
         "dilithium3",
@@ -113,25 +156,21 @@ def data_volume(
         "sphincs-128f",
     ),
 ) -> DataVolumeResult:
+    """Mean ICA data per browsing session (= per cohort user), with a
+    95 % CI of the per-user reduction."""
     from repro.analysis.stats import confidence_interval_95
 
-    n = len(results)
-    # ICA counts are algorithm-free; per-cert size is result-free. Compute
-    # each once instead of re-resolving the algorithm (and re-walking the
-    # outcomes) inside the per-result loops.
-    total_icas = sum(r.total_icas for r in results)
-    sent_icas = sum(
-        sum(o.icas_sent_total for o in r.outcomes) for r in results
-    )
+    stats = result.stats
+    n = stats.users
     rows = []
     for alg in algorithms:
         per_cert = get_signature_algorithm(alg).auth_bytes_per_certificate(
             DEFAULT_ATTRIBUTE_BYTES
         )
-        without = per_cert * total_icas / n / 1e6
-        with_sup = per_cert * sent_icas / n / 1e6
+        without = per_cert * stats.icas_encountered / n / 1e6
+        with_sup = per_cert * stats.icas_sent_total / n / 1e6
         rows.append(DataVolumeRow(alg, without, with_sup))
-    reductions = [r.ica_reduction_ratio() for r in results]
+    reductions = reduction_per_user(result).tolist()
     ci = (
         confidence_interval_95(reductions)
         if n >= 2
@@ -141,9 +180,9 @@ def data_volume(
         rows=rows,
         mean_reduction=sum(reductions) / n,
         reduction_ci95=ci,
-        mean_known_rate=sum(r.known_ica_rate for r in results) / n,
-        mean_false_positives=sum(r.false_positives for r in results) / n,
-        mean_unique_destinations=sum(r.unique_destinations for r in results) / n,
+        mean_known_rate=float(np.mean(known_rate_per_user(result))),
+        mean_false_positives=stats.false_positives / n,
+        mean_unique_destinations=stats.handshakes / n,
     )
     reg = obs.registry()
     if reg is not None:
@@ -175,7 +214,7 @@ def format_data_volume(result: DataVolumeResult) -> str:
     table = format_table(
         ["algorithm", "MB w/o sup", "MB w/ sup", "MB saved", "reduction"],
         rows,
-        title="Fig. 5-left — ICA data per browsing session (mean over runs)",
+        title="Fig. 5-left — ICA data per browsing session (mean over sessions)",
     )
     footer = (
         f"\nmean reduction {100 * result.mean_reduction:.1f}% "
@@ -183,7 +222,7 @@ def format_data_volume(result: DataVolumeResult) -> str:
         f"{100 * result.reduction_ci95[1]:.1f}] "
         f"(paper ~{100 * PAPER_REDUCTION:.0f}%), known-ICA rate "
         f"{100 * result.mean_known_rate:.1f}% (paper 69-74%), "
-        f"false positives/run {result.mean_false_positives:.1f} "
+        f"false positives/session {result.mean_false_positives:.1f} "
         f"(paper 2.3), unique destinations "
         f"{result.mean_unique_destinations:.0f} (paper ~1950)"
     )
@@ -206,7 +245,7 @@ class LatencyModel:
 def latency_models(
     algorithms: Sequence[str] = ("dilithium5", "sphincs-128f"),
     baseline: str = "rsa-2048",
-    kem: str = "ntru-hps-509",
+    kem: str = KEM_NAME,
     num_icas: int = 2,
     rtts_s: Sequence[float] = (0.01, 0.02, 0.04, 0.08, 0.12, 0.2, 0.3),
     tcp: TCPConfig = TCPConfig(),
@@ -271,36 +310,51 @@ class TTFBScenario:
     summary: Summary
 
 
+def ttfb_samples(
+    result: CohortResult,
+    algorithm_name: str,
+    suppressed: bool,
+    lookup_seconds: float,
+) -> np.ndarray:
+    """Per-handshake TTFB under the scenario, per the paper's method:
+    flight-model TTFB (the ClientHello grows by the filter payload and
+    its extension framing when suppression is on), the per-item filter
+    lookup time added when suppression is on, and a false positive
+    doubling the TTFB.  One entry per handshake, in the result's
+    per-handshake column order."""
+    cpu = crypto_cpu_seconds(get_signature_algorithm(algorithm_name), KEM_NAME)
+    n_sent = result.sent_first_icas if suppressed else result.path_icas
+    samples = np.empty(len(n_sent), dtype=np.float64)
+    # Flight sizes depend only on the number of ICAs sent: evaluate the
+    # flight model once per distinct count, vectorized over the RTTs.
+    for n_icas in np.unique(n_sent).tolist():
+        ch, flight = flight_sizes(algorithm_name, KEM_NAME, n_icas, INCLUDE_STAPLES)
+        if suppressed:
+            ch += result.stats.filter_payload_bytes + EXTENSION_FRAMING_BYTES
+        rows = n_sent == n_icas
+        samples[rows] = time_to_first_byte_s(
+            ch, flight, result.rtt_s[rows], _TCP, cpu
+        )
+    if suppressed:
+        samples += lookup_seconds
+        samples[result.false_positive] *= 2
+    return samples
+
+
 def ttfb_scenarios(
-    results: Sequence[SessionResult],
+    result: CohortResult,
+    lookup_seconds: float,
     algorithms: Sequence[str] = ("rsa-2048", "dilithium5", "sphincs-128f"),
 ) -> List[TTFBScenario]:
-    # Hoist per-scenario constants: the signature algorithm, its CPU cost
-    # per KEM, and the TCP model are invariant across results, so resolve
-    # them once here rather than inside every ttfb_samples call.
-    cpu_by_kem: Dict[Tuple[str, str], float] = {}
-    tcp_by_cwnd: Dict[int, TCPConfig] = {}
+    """TTFB summaries per (algorithm, suppressed) scenario over every
+    handshake of the cohort; ``lookup_seconds`` comes from
+    :func:`measure_lookup_seconds`."""
     scenarios = []
     for alg in algorithms:
-        sig_alg = get_signature_algorithm(alg)
         for suppressed in (False, True):
-            samples: List[float] = []
-            for result in results:
-                kem = result.config.kem_name
-                cpu = cpu_by_kem.get((alg, kem))
-                if cpu is None:
-                    cpu = crypto_cpu_seconds(sig_alg, kem)
-                    cpu_by_kem[(alg, kem)] = cpu
-                cwnd = result.config.initcwnd_segments
-                tcp = tcp_by_cwnd.get(cwnd)
-                if tcp is None:
-                    tcp = TCPConfig(initcwnd_segments=cwnd)
-                    tcp_by_cwnd[cwnd] = tcp
-                samples.extend(
-                    result.ttfb_samples(alg, suppressed, tcp=tcp, cpu=cpu)
-                )
+            samples = ttfb_samples(result, alg, suppressed, lookup_seconds)
             scenarios.append(
-                TTFBScenario(alg, suppressed, summarize(samples))
+                TTFBScenario(alg, suppressed, summarize(samples.tolist()))
             )
     return scenarios
 
@@ -321,5 +375,5 @@ def format_ttfb(scenarios: Sequence[TTFBScenario]) -> str:
     return format_table(
         ["algorithm", "scenario", "median ms", "mean ms", "p90 ms", "p99 ms"],
         rows,
-        title="Fig. 5-right — TTFB per scenario (all runs pooled)",
+        title="Fig. 5-right — TTFB per scenario (all sessions pooled)",
     )

@@ -15,7 +15,10 @@ from repro._version import __version__
 
 @dataclass(frozen=True)
 class ReportScale:
-    """How big to run the simulations (defaults stay under a minute)."""
+    """How big to run the simulations (defaults stay under a minute):
+    ``runs`` browsing sessions (cohort users at the paper's per-session
+    calibration) for Fig. 5, ``domains`` destinations for the baselines
+    and warm-up curves."""
 
     runs: int = 3
     domains: int = 100
@@ -51,15 +54,15 @@ def generate_report(
     )
     from repro.experiments.warmup import format_warmup, warmup_curves
     from repro.webmodel.nonweb import compare_environments, format_environments
+    from repro.webmodel.cohort import run_cohort
     from repro.webmodel.population import ICAPopulation, PopulationConfig
-    from repro.webmodel.session_sim import BrowsingSessionSimulator, SessionConfig
 
     population = population or ICAPopulation(PopulationConfig(seed=1))
     sections: List[str] = [
         "# Reproduction report",
         "",
-        f"repro {__version__} — scale: {scale.runs} runs x {scale.domains} "
-        f"domains, {scale.crawl_domains}-domain crawls.",
+        f"repro {__version__} — scale: {scale.runs} browsing sessions, "
+        f"{scale.domains} domains, {scale.crawl_domains}-domain crawls.",
         "",
     ]
 
@@ -99,17 +102,18 @@ def generate_report(
         fig4.format_fpp_sweep(fig4.fpp_sweep()),
     ))
 
-    simulator = BrowsingSessionSimulator(
-        SessionConfig(seed=1, num_domains=scale.domains), population=population
+    browsing = fig5.paper_config(
+        num_users=scale.runs, seed=1, population=population.config
     )
-    results = simulator.run_many(scale.runs)
+    result = run_cohort(browsing, population=population)
+    lookup_seconds = fig5.measure_lookup_seconds(browsing, population)
     sections.append(_section(
         "Figure 5 — browsing impact",
         "\n\n".join(
             [
-                fig5.format_data_volume(fig5.data_volume(results)),
+                fig5.format_data_volume(fig5.data_volume(result)),
                 fig5.format_latency_models(fig5.latency_models()),
-                fig5.format_ttfb(fig5.ttfb_scenarios(results)),
+                fig5.format_ttfb(fig5.ttfb_scenarios(result, lookup_seconds)),
             ]
         ),
     ))

@@ -59,7 +59,7 @@ def warmup_curves(
 
     Uses the filter/cache pipeline directly (no TLS byte shuffling) so
     long streams stay cheap; the TLS equivalence is covered by the
-    session simulator's tests.
+    cohort engine-vs-reference tests.
     """
     population = population or ICAPopulation(PopulationConfig(seed=seed))
     browsing = BrowsingModel(BrowsingConfig(seed=seed), ranking=population.ranking)

@@ -4,7 +4,7 @@
 worker processes (ordered results, stable per-item seeds, serial
 fallback); ``repro.runtime.artifacts`` memoizes the immutable PKI
 artifacts the handshake fast path would otherwise recompute per
-connection. Both are wired through the browsing-session simulator, the
+connection. Both are wired through the cohort and churn engines, the
 experiment drivers, the CLI (``--jobs``) and the benchmark harness.
 """
 

@@ -10,7 +10,7 @@ exactly the list its serial loop would. Determinism is the contract:
   worker-local state, ``seed * 1009 + i``-style arithmetic that collides
   across streams, or anything dependent on which worker ran the item;
 * workers are initialized once per process (rebuilding the population /
-  simulator there, not pickling it per task), optionally pre-warmed with
+  engine there, not pickling it per task), optionally pre-warmed with
   shipped artifact-cache contents (see
   :func:`repro.runtime.artifacts.export_shippable`).
 

@@ -13,8 +13,9 @@ browsing) with calibrated generative models:
 * :mod:`repro.webmodel.browsing` — the Burklen et al. user model the
   paper cites (Zipf-1.9 domain visits, Pareto-2.5 pages per domain,
   third-party content per page);
-* :mod:`repro.webmodel.session_sim` — the full browsing-session simulator
-  behind Fig. 5.
+* :mod:`repro.webmodel.cohort` — the columnar browsing engine behind
+  Fig. 5 (one cohort user per browsing session), pinned by its scalar
+  per-handshake TLS reference :mod:`repro.webmodel.cohort_reference`.
 """
 
 from repro.webmodel.tranco import DomainRanking
@@ -22,11 +23,6 @@ from repro.webmodel.chains import ChainMix, TABLE2_MONTHS, table2_mix
 from repro.webmodel.population import ICAPopulation, PopulationConfig
 from repro.webmodel.crawler import CrawlStats, crawl_top_domains
 from repro.webmodel.browsing import BrowsingModel, BrowsingConfig, Visit
-from repro.webmodel.session_sim import (
-    SessionConfig,
-    SessionResult,
-    BrowsingSessionSimulator,
-)
 from repro.webmodel.churn import (
     ChurnConfig,
     ChurnResult,
@@ -54,9 +50,6 @@ __all__ = [
     "BrowsingModel",
     "BrowsingConfig",
     "Visit",
-    "SessionConfig",
-    "SessionResult",
-    "BrowsingSessionSimulator",
     "ChurnConfig",
     "ChurnResult",
     "StepMetrics",

@@ -77,7 +77,7 @@ class BrowsingModel:
 
     def session(self, num_domains: int = 200) -> List[Visit]:
         """One browsing session: every TLS destination contacted, in
-        order, duplicates included (the simulator dedupes per §5.3's
+        order, duplicates included (callers dedupe per §5.3's
         'unique destinations' accounting)."""
         visits: List[Visit] = []
         page_index = 0

@@ -1,10 +1,11 @@
-"""Columnar cohort browsing engine — Fig. 5 at traffic scale.
+"""Columnar cohort browsing engine — the Fig. 5 engine.
 
-The per-session simulator (:mod:`repro.webmodel.session_sim`) runs one
-real handshake per destination, which tops out around a couple of hundred
-handshakes per second — fine for reproducing the paper's 10x200-domain
-runs, hopeless for the ROADMAP's "millions of users".  This module
-advances a cohort of N users as numpy columns instead:
+One real TLS handshake per destination (the scalar reference,
+:mod:`repro.webmodel.cohort_reference`) tops out around a thousand
+handshakes per second — fine for pinning correctness, hopeless for
+millions of users.  This module advances a cohort of N users as numpy
+columns instead; the paper's 10 browsing sessions are a 10-user cohort
+(``repro.experiments.fig5.paper_config``):
 
 * per-user destination draws and RTTs come from the counter-based RNG
   streams of :mod:`repro.webmodel.cohortrng` (pure functions of
@@ -49,13 +50,15 @@ equivalence against the untouched per-handshake TLS machine.
 
 Aggregate float identity: RTTs are kept as one (user-major, slot-major)
 column and reduced with a single ``np.sum`` at finalize time, so the
-result is independent of block size and ``--jobs``.
+result is independent of block size and ``--jobs``.  The per-handshake
+columns the TTFB panel reads (ICAs on the path, ICAs sent on the first
+flight, false-positive flag) share that order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -236,14 +239,23 @@ class CohortStats:
         return self.rtt_sum_s / self.handshakes if self.handshakes else 0.0
 
 
+#: The per-handshake columns of :class:`CohortResult` and ``_BlockPart``
+#: (one entry per handshake, user-major, slot-major, first contacts only).
+HANDSHAKE_COLUMNS = ("rtt_s", "path_icas", "sent_first_icas", "false_positive")
+
+
 @dataclass(frozen=True)
 class CohortResult:
-    """A cohort run: per-user columns, the RTT column (one entry per
-    handshake, user-major slot-major order) and the aggregate stats."""
+    """A cohort run: per-user columns, the per-handshake columns (RTT,
+    ICAs on the path, ICAs sent on the first flight, false-positive flag;
+    user-major slot-major order) and the aggregate stats."""
 
     config: CohortConfig
     columns: CohortColumns
     rtt_s: np.ndarray
+    path_icas: np.ndarray
+    sent_first_icas: np.ndarray
+    false_positive: np.ndarray
     stats: CohortStats
 
     def __eq__(self, other: object) -> bool:
@@ -253,7 +265,10 @@ class CohortResult:
             self.config == other.config
             and self.stats == other.stats
             and self.columns == other.columns
-            and np.array_equal(self.rtt_s, other.rtt_s)
+            and all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in HANDSHAKE_COLUMNS
+            )
         )
 
     __hash__ = None  # type: ignore[assignment]
@@ -267,6 +282,9 @@ class _BlockPart:
     start: int
     columns: CohortColumns
     rtt_s: np.ndarray
+    path_icas: np.ndarray
+    sent_first_icas: np.ndarray
+    false_positive: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -299,7 +317,9 @@ def _first_contact_mask(ranks: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _UserReplay:
-    """Exact per-user accounting produced by the object-replay slow path."""
+    """Exact per-user accounting produced by the object-replay slow path,
+    plus the user's per-handshake first-flight ICA counts and
+    false-positive flags."""
 
     retries: int
     icas_sent_first: int
@@ -307,6 +327,25 @@ class _UserReplay:
     ica_bytes_sent_first: int
     ica_bytes_sent_total: int
     learned_icas: int
+    sent_first_icas: List[int]
+    false_positive: List[bool]
+
+
+def base_suppressor(
+    config: CohortConfig, population: ICAPopulation
+) -> ClientSuppressor:
+    """A user's starting client state: the hot-ICA preload cache and the
+    filter built from it, as every cohort user (in both engines) begins."""
+    return ClientSuppressor(
+        preload=IntermediatePreload(
+            population.hot_ica_certificates(config.hot_top_n)
+        ),
+        filter_kind=config.filter_kind,
+        fpp=config.fpp,
+        load_factor=config.load_factor,
+        budget_bytes=None,
+        seed=config.seed,
+    )
 
 
 class CohortEngine:
@@ -314,7 +353,7 @@ class CohortEngine:
 
     A custom ``population`` instance not reconstructible from
     ``config.population`` must be run with ``jobs=1`` (workers rebuild
-    from the config, mirroring ``BrowsingSessionSimulator.run_many``).
+    the population from the config).
     """
 
     def __init__(
@@ -329,15 +368,7 @@ class CohortEngine:
                 f"max_rank {config.max_rank} exceeds the ranking universe "
                 f"({self.population.ranking.size})"
             )
-        self._hot = self.population.hot_ica_certificates(config.hot_top_n)
-        self._base = ClientSuppressor(
-            preload=IntermediatePreload(self._hot),
-            filter_kind=config.filter_kind,
-            fpp=config.fpp,
-            load_factor=config.load_factor,
-            budget_bytes=None,
-            seed=config.seed,
-        )
+        self._base = base_suppressor(config, self.population)
         self._payload = self._base.extension_payload()
         #: The wire image as the server sees it — probed for facts, so a
         #: serialize/deserialize round-trip can never cause drift.
@@ -408,12 +439,20 @@ class CohortEngine:
 
         # Base-state columns, valid only off the divergent rows.
         fast = first & ~divergent[:, None]
-        sent_first_count = np.where(fast, depth - nhits, 0).sum(axis=1)
+        sent_first_cell = depth - nhits
+        sent_first_count = np.where(fast, sent_first_cell, 0).sum(axis=1)
         sent_first_bytes = np.where(fast, nbytes - supp_bytes, 0).sum(axis=1)
         retries = np.zeros(stop - start, dtype=np.int64)
         learned = np.zeros(stop - start, dtype=np.int64)
         sent_total_count = sent_first_count.copy()
         sent_total_bytes = sent_first_bytes.copy()
+
+        # Per-handshake columns (first contacts, row-major); a divergent
+        # row's segment is overwritten by its replay below.
+        path_icas = depth[first]
+        sent_first_icas = sent_first_cell[first]
+        false_positive = fp_cell[first]
+        segment = np.cumsum(handshakes) - handshakes
 
         # Divergent rows: exact replay through the real object pipeline.
         for local in np.nonzero(divergent)[0]:
@@ -424,6 +463,9 @@ class CohortEngine:
             sent_total_count[local] = replay.icas_sent_total
             sent_first_bytes[local] = replay.ica_bytes_sent_first
             sent_total_bytes[local] = replay.ica_bytes_sent_total
+            rows = slice(segment[local], segment[local] + handshakes[local])
+            sent_first_icas[rows] = replay.sent_first_icas
+            false_positive[rows] = replay.false_positive
 
         columns = CohortColumns(
             handshakes=handshakes,
@@ -441,7 +483,14 @@ class CohortEngine:
         record_cohort_counters(
             columns, destinations=(stop - start) * slots
         )
-        return _BlockPart(start=start, columns=columns, rtt_s=rtt[first])
+        return _BlockPart(
+            start=start,
+            columns=columns,
+            rtt_s=rtt[first],
+            path_icas=path_icas,
+            sent_first_icas=sent_first_icas,
+            false_positive=false_positive,
+        )
 
     def _replay_user(
         self, ordinal_row: np.ndarray, first_row: np.ndarray
@@ -450,14 +499,7 @@ class CohortEngine:
         evolution (insert order, full-table rebuilds, payload refreshes)
         matches the scalar reference byte-for-byte."""
         cfg = self.config
-        suppressor = ClientSuppressor(
-            preload=IntermediatePreload(self._hot),
-            filter_kind=cfg.filter_kind,
-            fpp=cfg.fpp,
-            load_factor=cfg.load_factor,
-            budget_bytes=None,
-            seed=cfg.seed,
-        )
+        suppressor = base_suppressor(cfg, self.population)
         advertised = parse_extension_payload(suppressor.extension_payload())
         known = set(suppressor.cache.fingerprints())
         refresh_every = cfg.payload_refresh_every
@@ -465,6 +507,8 @@ class CohortEngine:
         retries = learned = 0
         sent_first_count = sent_total_count = 0
         sent_first_bytes = sent_total_bytes = 0
+        per_handshake_sent: List[int] = []
+        per_handshake_fp: List[bool] = []
         for slot in range(cfg.handshakes_per_user):
             if not first_row[slot]:
                 continue
@@ -490,7 +534,10 @@ class CohortEngine:
             sent_total_count += sent_count
             sent_first_bytes += sent_bytes
             sent_total_bytes += sent_bytes
-            if any(fps[i] not in known for i in suppressed):
+            false_positive = any(fps[i] not in known for i in suppressed)
+            per_handshake_sent.append(sent_count)
+            per_handshake_fp.append(false_positive)
+            if false_positive:
                 # False positive: the plain retry resends the full chain
                 # and the client learns its ICAs.
                 retries += 1
@@ -508,6 +555,8 @@ class CohortEngine:
             ica_bytes_sent_first=sent_first_bytes,
             ica_bytes_sent_total=sent_total_bytes,
             learned_icas=learned,
+            sent_first_icas=per_handshake_sent,
+            false_positive=per_handshake_fp,
         )
 
     # -- driving ---------------------------------------------------------------
@@ -612,7 +661,11 @@ def finalize_cohort(
             for name in CohortColumns.__dataclass_fields__
         }
     )
-    rtt = np.concatenate([part.rtt_s for part in parts])
+    per_handshake = {
+        name: np.concatenate([getattr(part, name) for part in parts])
+        for name in HANDSHAKE_COLUMNS
+    }
+    rtt = per_handshake["rtt_s"]
     users = len(columns.handshakes)
     destinations = users * config.handshakes_per_user
     handshakes = int(columns.handshakes.sum())
@@ -647,7 +700,9 @@ def finalize_cohort(
         filter_payload_bytes=filter_payload_bytes,
         rtt_sum_s=float(np.sum(rtt)),
     )
-    return CohortResult(config=config, columns=columns, rtt_s=rtt, stats=stats)
+    return CohortResult(
+        config=config, columns=columns, stats=stats, **per_handshake
+    )
 
 
 # -- worker plumbing -----------------------------------------------------------

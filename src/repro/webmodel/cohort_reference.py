@@ -11,8 +11,9 @@ per-user counter-based RNG streams of :mod:`repro.webmodel.cohortrng`.
 Because every draw is a pure function of ``(stream key, user, slot)``,
 this runner and the columnar engine see identical destination sequences
 and RTTs, and :func:`repro.webmodel.cohort.finalize_cohort` reduces both
-to byte-identical :class:`~repro.webmodel.cohort.CohortResult` objects —
-which ``tests/webmodel/test_cohort_vs_scalar.py`` asserts.
+to byte-identical :class:`~repro.webmodel.cohort.CohortResult` objects,
+per-handshake columns included — which
+``tests/webmodel/test_cohort_vs_scalar.py`` asserts.
 
 Protocol notes (must mirror the cohort session protocol exactly):
 
@@ -38,9 +39,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.suppression import ClientSuppressor, ServerSuppressor
-from repro.errors import SimulationError
-from repro.pki.store import IntermediatePreload
+from repro.core.suppression import ServerSuppressor
+from repro.errors import ConfigurationError, SimulationError
 from repro.runtime.parallel import derive_seed
 from repro.tls.client import ClientConfig
 from repro.tls.server import ServerConfig
@@ -51,6 +51,7 @@ from repro.webmodel.cohort import (
     CohortConfig,
     CohortResult,
     _BlockPart,
+    base_suppressor,
     cohort_stream_keys,
     finalize_cohort,
     record_cohort_counters,
@@ -65,11 +66,10 @@ def run_cohort_reference(
     """Run the cohort as N independent scalar session machines."""
     population = population or ICAPopulation(config.population)
     if config.max_rank > population.ranking.size:
-        raise SimulationError(
+        raise ConfigurationError(
             f"max_rank {config.max_rank} exceeds the ranking universe "
             f"({population.ranking.size})"
         )
-    hot = population.hot_ica_certificates(config.hot_top_n)
     trust_store = population.hierarchy.trust_store()
     server_suppressor = ServerSuppressor(max_cached_filters=8)
     keys = cohort_stream_keys(config.seed)
@@ -88,6 +88,9 @@ def run_cohort_reference(
     refreshes = np.zeros(users, dtype=np.int64)
     divergent = np.zeros(users, dtype=bool)
     rtt_column: List[float] = []
+    path_icas: List[int] = []
+    sent_first_icas: List[int] = []
+    false_positive: List[bool] = []
     payload_bytes: Optional[int] = None
 
     for user in range(users):
@@ -103,14 +106,7 @@ def run_cohort_reference(
             config.rtt_median_s,
             config.rtt_sigma,
         )
-        suppressor = ClientSuppressor(
-            preload=IntermediatePreload(hot),
-            filter_kind=config.filter_kind,
-            fpp=config.fpp,
-            load_factor=config.load_factor,
-            budget_bytes=None,
-            seed=config.seed,
-        )
+        suppressor = base_suppressor(config, population)
         advertised = suppressor.extension_payload()
         if payload_bytes is None:
             payload_bytes = len(advertised)
@@ -165,6 +161,9 @@ def run_cohort_reference(
             )
             sent_total_bytes[user] += trace.ica_bytes_sent
             rtt_column.append(float(rtts[slot]))
+            path_icas.append(chain.num_icas)
+            sent_first_icas.append(chain.num_icas - first.suppressed_ica_count)
+            false_positive.append(trace.false_positive)
             if trace.false_positive:
                 if first.retry_cause is not RetryCause.SERVER_SUPPRESSION_FP:
                     raise SimulationError(
@@ -193,6 +192,11 @@ def run_cohort_reference(
     )
     record_cohort_counters(columns, destinations=users * slots)
     part = _BlockPart(
-        start=0, columns=columns, rtt_s=np.array(rtt_column, dtype=np.float64)
+        start=0,
+        columns=columns,
+        rtt_s=np.array(rtt_column, dtype=np.float64),
+        path_icas=np.array(path_icas, dtype=np.int64),
+        sent_first_icas=np.array(sent_first_icas, dtype=np.int64),
+        false_positive=np.array(false_positive, dtype=bool),
     )
     return finalize_cohort(config, [part], payload_bytes)

@@ -14,7 +14,7 @@ Couples the domain ranking to the synthetic PKI:
 
 Every assignment is a pure function of (seed, rank), so the same domain
 always presents the same chain — a property both the crawler and the
-browsing simulator rely on.
+browsing engines rely on.
 
 Resolution is shared by everything that holds the population: a dense
 rank -> path-ordinal table (lazily allocated, smallest signed type that

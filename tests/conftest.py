@@ -6,6 +6,7 @@ population/chain input data; this file only adapts it to pytest.
 """
 
 import pytest
+from hypothesis import settings
 
 from tests._fixtures import (
     make_items as _make_items,
@@ -16,6 +17,24 @@ from tests._fixtures import (
 )
 
 make_items = _make_items  # re-export (historical helper import site)
+
+# Hypothesis profiles.  "ci" (the default) derandomizes every property
+# test and keeps no example database, so a run's outcome never depends
+# on the Hypothesis seed or on examples saved by earlier runs; "explore"
+# draws fresh random examples (``pytest --hypothesis-profile=explore``).
+# Neither changes any test's example budget.
+settings.register_profile("ci", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile("ci")
+
+
+def pytest_configure(config):
+    # This module may be imported after Hypothesis's plugin applied the
+    # ``--hypothesis-profile`` option; re-apply the option so the command
+    # line wins over the default loaded above.
+    profile = config.getoption("hypothesis_profile", None)
+    if profile:
+        settings.load_profile(profile)
 
 
 @pytest.fixture

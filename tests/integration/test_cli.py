@@ -61,7 +61,9 @@ class TestExecution:
         assert "repro" in proc.stdout
 
     def test_fig5_left_with_small_scale(self, capsys):
-        assert main(["fig5-left", "--runs", "1", "--domains", "15"]) == 0
+        assert main(
+            ["fig5-left", "--users", "2", "--handshakes-per-user", "60"]
+        ) == 0
         assert "reduction" in capsys.readouterr().out
 
     def test_churn_with_json_out(self, tmp_path, capsys):

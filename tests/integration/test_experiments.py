@@ -8,6 +8,7 @@ fast; the benchmarks run the full-scale versions.
 import pytest
 
 from repro.experiments import ablations, fig1, fig3, fig4, fig5, table1, table2
+from repro.webmodel.cohort import run_cohort
 from repro.webmodel.population import ICAPopulation, PopulationConfig
 
 
@@ -169,13 +170,18 @@ class TestFig4:
 
 class TestFig5:
     @pytest.fixture(scope="class")
-    def results(self, population):
-        from repro.webmodel.session_sim import BrowsingSessionSimulator, SessionConfig
-
-        sim = BrowsingSessionSimulator(
-            SessionConfig(seed=1, num_domains=50), population=population
+    def config(self, population):
+        return fig5.paper_config(
+            num_users=2, seed=1, population=population.config
         )
-        return sim.run_many(2)
+
+    @pytest.fixture(scope="class")
+    def results(self, config, population):
+        return run_cohort(config, population=population)
+
+    @pytest.fixture(scope="class")
+    def lookup_seconds(self, config, population):
+        return fig5.measure_lookup_seconds(config, population)
 
     def test_reduction_in_paper_band(self, results):
         dv = fig5.data_volume(results)
@@ -193,39 +199,24 @@ class TestFig5:
         assert fit.r_squared > 0.98
         assert fit.slope >= 1.0  # at least one extra round trip per RTT
 
-    def test_ttfb_suppression_helps_big_algorithms(self, results):
+    def test_ttfb_suppression_helps_big_algorithms(self, results, lookup_seconds):
         scenarios = {
             (s.algorithm, s.suppressed): s.summary
-            for s in fig5.ttfb_scenarios(results, algorithms=("sphincs-128f",))
+            for s in fig5.ttfb_scenarios(
+                results, lookup_seconds, algorithms=("sphincs-128f",)
+            )
         }
         assert (
             scenarios[("sphincs-128f", True)].mean
             < scenarios[("sphincs-128f", False)].mean
         )
 
-    def test_formatters(self, results):
+    def test_formatters(self, results, lookup_seconds):
         assert "reduction" in fig5.format_data_volume(fig5.data_volume(results))
         assert "slope" in fig5.format_latency_models(fig5.latency_models())
-        assert "median ms" in fig5.format_ttfb(fig5.ttfb_scenarios(results))
-
-    def test_run_sessions_rejects_conflicting_num_domains(self, population):
-        from repro.errors import ConfigurationError
-        from repro.webmodel.session_sim import SessionConfig
-
-        config = SessionConfig(seed=1, num_domains=50)
-        with pytest.raises(ConfigurationError, match="conflicting session sizes"):
-            fig5.run_sessions(
-                runs=1, num_domains=25, config=config, population=population
-            )
-
-    def test_run_sessions_accepts_matching_num_domains(self, population):
-        from repro.webmodel.session_sim import SessionConfig
-
-        config = SessionConfig(seed=1, num_domains=20)
-        results = fig5.run_sessions(
-            runs=1, num_domains=20, config=config, population=population
+        assert "median ms" in fig5.format_ttfb(
+            fig5.ttfb_scenarios(results, lookup_seconds)
         )
-        assert len(results) == 1
 
 
 class TestAblations:
@@ -248,8 +239,12 @@ class TestAblations:
     def test_filter_choice_rows(self, population):
         rows = ablations.filter_choice(
             kinds=("cuckoo", "vacuum"),
-            num_domains=15,
-            runs=1,
+            config=fig5.paper_config(
+                num_users=1,
+                handshakes_per_user=60,
+                seed=1,
+                population=population.config,
+            ),
             population=population,
         )
         assert len(rows) == 2
@@ -262,6 +257,13 @@ class TestAblations:
             ablations.initcwnd_sweep(algorithms=("dilithium3",), windows=(10,))
         )
         rows = ablations.filter_choice(
-            kinds=("vacuum",), num_domains=10, runs=1, population=population
+            kinds=("vacuum",),
+            config=fig5.paper_config(
+                num_users=1,
+                handshakes_per_user=40,
+                seed=1,
+                population=population.config,
+            ),
+            population=population,
         )
         assert "vacuum" in ablations.format_filter_choice(rows)

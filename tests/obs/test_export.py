@@ -20,7 +20,7 @@ def sample_snapshot():
     reg = MetricsRegistry()
     reg.inc("tls.handshake.runs", 7)
     reg.inc("amq.ops", 42, (("backend", "cuckoo"), ("op", "insert")))
-    reg.inc("runtime.artifacts.hits", 3, (("cache", "staples"),))
+    reg.inc("runtime.artifacts.hits", 3, (("cache", "cert_decode"),))
     reg.inc("webmodel.churn.steps", 24)
     reg.inc("webmodel.churn.handshakes", 192)
     reg.inc("webmodel.churn.icas_revoked", 9)

@@ -92,7 +92,6 @@ class TestRegistry:
             "signature_bytes",
             "verified_chains",
             "filter_builds",
-            "staples",
             "flight_sizes",
             "der_encode",
         ):

@@ -17,7 +17,7 @@ from repro.tls.messages import split_handshake_stream
 
 @pytest.fixture(scope="module")
 def chains():
-    from repro.webmodel.session_sim import _micro_credential
+    from repro.experiments.flight_probe import _micro_credential
 
     conventional, _ = _micro_credential("ecdsa-p256", 2)
     pq, _ = _micro_credential("dilithium3", 2)

@@ -7,7 +7,9 @@ per-handshake TLS machines consuming the same counter-based RNG streams
 :class:`~repro.webmodel.cohort.CohortResult` objects: aggregate
 suppression-byte stats, retry counts (all ``RetryCause.SERVER_SUPPRESSION_FP``
 by construction; the reference raises on any other cause), per-user
-handshake-outcome histograms, and the per-handshake RTT column.
+handshake-outcome histograms, and the per-handshake columns (RTT, ICAs
+on the path, ICAs sent on the first flight, false-positive flag) the
+Fig. 5 TTFB panel reads.
 
 The suite drives that over (cohort size, chain mix/month, filter family,
 payload refresh cadence, seed) with Hypothesis, on the reduced shared PKI
@@ -27,6 +29,7 @@ from tests._fixtures import reduced_population_config, shared_population
 
 np = pytest.importorskip("numpy")
 
+from repro.errors import ConfigurationError  # noqa: E402
 from repro.webmodel.cohort import (  # noqa: E402
     CohortConfig,
     cohort_json_doc,
@@ -69,8 +72,9 @@ def assert_equivalent(config):
     population = _population(config.population.month)
     engine = run_cohort(config, jobs=1, population=population)
     reference = run_cohort_reference(config, population=population)
-    # Full equality: config, every per-user column, the RTT column and
-    # the aggregate stats (including suppression bytes and retry counts).
+    # Full equality: config, every per-user column, the per-handshake
+    # columns and the aggregate stats (including suppression bytes and
+    # retry counts).
     assert engine == reference
     assert outcome_histogram(engine) == outcome_histogram(reference)
     assert cohort_json_doc(engine) == cohort_json_doc(reference)
@@ -129,6 +133,24 @@ def test_payload_refresh_cohort_matches_reference():
     assert engine.stats.payload_refreshes > 0
 
 
+def test_replayed_users_per_handshake_columns_match_reference():
+    """Once a divergent user has learned ICAs and refreshed its payload,
+    its handshakes' first-flight ICA counts and false-positive flags
+    differ from the base-state facts, so the engine must take them from
+    the user's replay (a refreshing Bloom cohort reaches that state)."""
+    config = _config(
+        num_users=40,
+        handshakes_per_user=6,
+        filter_kind="bloom",
+        payload_refresh_every=2,
+        seed=1,
+    )
+    engine = assert_equivalent(config)
+    assert engine.stats.payload_refreshes > 0
+    assert engine.stats.learned_icas > 0
+    assert int(engine.false_positive.sum()) == engine.stats.false_positives
+
+
 def test_retry_accounting_is_internally_consistent():
     """Every retry is a server-suppression false positive (the reference
     raises on any other RetryCause), pays a full-chain resend, and the
@@ -159,3 +181,15 @@ def test_session_reuse_is_dedup_by_destination():
     assert stats.destinations == config.num_users * config.handshakes_per_user
     assert stats.handshakes + stats.session_reuse == stats.destinations
     assert len(engine.rtt_s) == stats.handshakes
+
+
+@pytest.mark.parametrize(
+    "runner", [run_cohort, run_cohort_reference], ids=["columnar", "scalar"]
+)
+def test_max_rank_beyond_ranking_is_a_configuration_error(runner):
+    """Both engines refuse a ``max_rank`` past the ranking with the same
+    error type (a ``ValueError``), before simulating anything."""
+    population = _population(MONTHS[0])
+    config = _config(max_rank=population.ranking.size + 1)
+    with pytest.raises(ConfigurationError, match="exceeds the ranking universe"):
+        runner(config, population=population)

@@ -1,29 +1,49 @@
-"""Determinism and caching invariants of the parallel session runtime.
+"""Determinism and caching invariants of the browsing-session engines.
 
 The contracts this file pins down:
 
-* sharding runs across worker processes produces *element-wise identical*
-  ``SessionResult`` s to the serial loop, for multiple seeds and filter
-  structures;
+* sharding a cohort's user blocks across worker processes produces an
+  *equal* ``CohortResult`` to the serial run, for multiple seeds and
+  filter structures;
 * artifact-cache hits never change handshake byte accounting — a warm
-  handshake reports the same ``client_hello_bytes`` /
-  ``server_flight_bytes`` / ``ica_bytes_sent`` as a cold or cache-disabled
-  one;
-* a warm repeat of a session performs zero redundant DER encodes;
-* the per-rank staples cache is a bounded LRU.
+  handshake of the scalar reference reports the same
+  ``client_hello_bytes`` / ``server_flight_bytes`` / ``ica_bytes_sent``
+  as a cold or cache-disabled one, and a whole reference run is
+  unchanged with every disableable cache bypassed;
+* a warm repeat of a reference run performs zero redundant DER encodes.
 """
+
+from dataclasses import replace
 
 import pytest
 
-from repro.errors import SimulationError
+from tests._fixtures import shared_population
+
+from repro.core.suppression import ServerSuppressor
+from repro.errors import ConfigurationError
+from repro.experiments import fig5
 from repro.runtime import artifacts
+from repro.tls.client import ClientConfig
 from repro.tls.server import ServerConfig
 from repro.tls.session import run_handshake
-from repro.webmodel.session_sim import BrowsingSessionSimulator, SessionConfig
+from repro.webmodel.cohort import base_suppressor, run_cohort
+from repro.webmodel.cohort_reference import run_cohort_reference
 
 
-def _small_config(seed, filter_kind="cuckoo"):
-    return SessionConfig(seed=seed, num_domains=6, filter_kind=filter_kind)
+@pytest.fixture(scope="module")
+def population():
+    return shared_population()
+
+
+def _small_config(population, seed, filter_kind="cuckoo", users=2, draws=12):
+    return fig5.paper_config(
+        num_users=users,
+        handshakes_per_user=draws,
+        filter_kind=filter_kind,
+        seed=seed,
+        block_users=1,
+        population=population.config,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -33,31 +53,33 @@ def _small_config(seed, filter_kind="cuckoo"):
 
 @pytest.mark.parametrize("seed", [3, 11])
 @pytest.mark.parametrize("filter_kind", ["cuckoo", "bloom"])
-def test_run_many_parallel_matches_serial(seed, filter_kind):
-    sim = BrowsingSessionSimulator(_small_config(seed, filter_kind))
-    serial = sim.run_many(2, jobs=1)
-    parallel = sim.run_many(2, jobs=2)
-    assert len(serial) == len(parallel) == 2
-    for k, (s, p) in enumerate(zip(serial, parallel)):
-        assert s == p, f"run {k} diverged between serial and parallel"
+def test_run_many_parallel_matches_serial(population, seed, filter_kind):
+    config = _small_config(population, seed, filter_kind, users=4, draws=60)
+    serial = run_cohort(config, jobs=1, population=population)
+    parallel = run_cohort(config, jobs=2, population=population)
+    assert serial.stats.users == parallel.stats.users == 4
+    assert serial == parallel
 
 
-def test_run_many_zero_runs():
-    sim = BrowsingSessionSimulator(_small_config(5))
-    assert sim.run_many(0, jobs=2) == []
+def test_run_many_zero_runs(population):
+    """An empty cohort is refused by its config, before any worker pool
+    could start."""
+    with pytest.raises(ConfigurationError):
+        replace(_small_config(population, 5), num_users=0)
 
 
-def test_runs_are_distinct_per_index():
-    sim = BrowsingSessionSimulator(_small_config(5))
-    a, b = sim.run_many(2, jobs=1)
-    assert a.outcomes != b.outcomes  # different run indices, different sessions
+def test_runs_are_distinct_per_index(population):
+    result = run_cohort(_small_config(population, 5), population=population)
+    first = int(result.columns.handshakes[0])
+    # Different users, different sessions.
+    assert result.rtt_s[:first].tolist() != result.rtt_s[first:].tolist()
 
 
-def test_same_seed_same_results_across_simulators():
-    r1 = BrowsingSessionSimulator(_small_config(7)).run(0)
-    sim2 = BrowsingSessionSimulator(_small_config(7))
-    sim2._lookup_seconds = r1.filter_lookup_seconds
-    assert sim2.run(0) == r1
+def test_same_seed_same_results_across_simulators(population):
+    config = _small_config(population, 7)
+    r1 = run_cohort_reference(config, population=population)
+    assert run_cohort_reference(config, population=population) == r1
+    assert run_cohort(config, population=population) == r1
 
 
 # ---------------------------------------------------------------------------
@@ -65,21 +87,22 @@ def test_same_seed_same_results_across_simulators():
 # ---------------------------------------------------------------------------
 
 
-def _attempt_bytes(sim, rank):
-    credential = sim.population.credential_for_rank(rank)
-    ocsp, scts = sim._staples_for(rank)
+def _attempt_bytes(population, config, rank):
+    """One handshake to ``rank`` built the way the scalar reference
+    builds it; returns the first attempt's byte counts."""
+    credential = population.credential_for_rank(rank)
+    suppressor = base_suppressor(config, population)
     server_config = ServerConfig(
         credential=credential,
-        suppression_handler=sim.server_suppressor,
-        ocsp_staple=ocsp,
-        scts=list(scts),
+        suppression_handler=ServerSuppressor(max_cached_filters=8),
         seed=7,
     )
-    client_config = sim.suppressor.client_config(
-        sim.trust_store,
+    client_config = ClientConfig(
+        trust_store=population.hierarchy.trust_store(),
         hostname=credential.chain.leaf.subject,
-        kem_name=sim.config.kem_name,
-        at_time=sim.config.at_time,
+        at_time=config.at_time,
+        ica_filter_payload=suppressor.extension_payload(),
+        issuer_lookup=suppressor.cache.lookup_issuer,
         seed=9,
     )
     trace = run_handshake(client_config, server_config)
@@ -92,24 +115,22 @@ def _attempt_bytes(sim, rank):
     )
 
 
-def test_cache_hits_do_not_change_handshake_bytes():
-    sim = BrowsingSessionSimulator(_small_config(9))
+def test_cache_hits_do_not_change_handshake_bytes(population):
+    config = _small_config(population, 9)
     artifacts.clear()
-    cold = _attempt_bytes(sim, rank=1)
-    warm = _attempt_bytes(sim, rank=1)  # same handshake, now cache-served
+    cold = _attempt_bytes(population, config, rank=1)
+    warm = _attempt_bytes(population, config, rank=1)  # now cache-served
     with artifacts.disabled():
-        bypassed = _attempt_bytes(sim, rank=1)
+        bypassed = _attempt_bytes(population, config, rank=1)
     assert cold == warm == bypassed
 
 
-def test_disabled_caches_reproduce_session_result():
-    sim = BrowsingSessionSimulator(_small_config(9))
-    enabled_result = sim.run(0)
+def test_disabled_caches_reproduce_session_result(population):
+    config = _small_config(population, 9)
+    enabled_result = run_cohort_reference(config, population=population)
     with artifacts.disabled():
-        sim2 = BrowsingSessionSimulator(
-            _small_config(9), lookup_seconds=sim._lookup_seconds
-        )
-        disabled_result = sim2.run(0)
+        # A fresh population too, so credentials are issued uncached.
+        disabled_result = run_cohort_reference(config)
     assert disabled_result == enabled_result
 
 
@@ -118,37 +139,11 @@ def test_disabled_caches_reproduce_session_result():
 # ---------------------------------------------------------------------------
 
 
-def test_warm_session_repeat_encodes_no_der():
-    sim = BrowsingSessionSimulator(_small_config(13))
-    first = sim.run(0)
+def test_warm_session_repeat_encodes_no_der(population):
+    config = _small_config(population, 13)
+    first = run_cohort_reference(config, population=population)
     before = artifacts.stats()["der_encode"]["misses"]
-    second = sim.run(0)
+    second = run_cohort_reference(config, population=population)
     after = artifacts.stats()["der_encode"]["misses"]
     assert second == first
     assert after == before, f"warm repeat performed {after - before} DER encodes"
-
-
-# ---------------------------------------------------------------------------
-# Staples LRU bound
-# ---------------------------------------------------------------------------
-
-
-def test_staples_cache_bounded():
-    sim = BrowsingSessionSimulator(_small_config(5), staples_cache_size=4)
-    for rank in range(1, 20):
-        sim._staples_for(rank)
-    assert len(sim._staples_cache) <= 4
-
-
-def test_staples_cache_keeps_recent_ranks():
-    sim = BrowsingSessionSimulator(_small_config(5), staples_cache_size=2)
-    sim._staples_for(1)
-    sim._staples_for(2)
-    sim._staples_for(1)  # refresh rank 1
-    sim._staples_for(3)  # evicts rank 2
-    assert set(sim._staples_cache) == {1, 3}
-
-
-def test_staples_cache_size_validated():
-    with pytest.raises(SimulationError):
-        BrowsingSessionSimulator(_small_config(5), staples_cache_size=0)
