@@ -10,7 +10,7 @@ Three arms, emitting ``BENCH_fig5_cohort.json``:
 * ``scalar``      — a small cohort through the scalar reference (real
   per-handshake TLS machines) on the default population, to price one
   scalar handshake.  It runs three ways, each on a fresh population
-  with cleared artifact caches: ``baseline`` with every disableable
+  with cleared artifact caches: ``baseline`` with every
   artifact cache bypassed, ``cached`` (the timing arm) and ``metered``
   with the observability registry enabled; all results must be equal.
   Baseline and cached run as ``SCALAR_REPEATS`` back-to-back pairs and

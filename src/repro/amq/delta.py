@@ -84,6 +84,7 @@ from repro.amq.base import AMQFilter, FilterParams
 from repro.amq.hashing import MASK64, splitmix64
 from repro.amq.serialization import (
     FILTER_REGISTRY,
+    MAX_PAYLOAD_BYTES,
     canonical_params,
     dequantize_fpp,
     dequantize_load_factor,
@@ -181,6 +182,17 @@ def build_filter_at(
     return cls.build_from_fingerprints(params, items)
 
 
+def _payload_bytes_at(
+    filter_kind: str, capacity: int, fpp: float, load_factor: float
+) -> int:
+    """AMQ payload size of a ``filter_kind`` filter at ``capacity``, from
+    geometry arithmetic alone (nothing is allocated)."""
+    params = canonical_params(
+        FilterParams(capacity=capacity, fpp=fpp, load_factor=load_factor)
+    )
+    return filter_class_for_name(filter_kind).expected_payload_bytes(params)
+
+
 # -- messages ----------------------------------------------------------------
 
 
@@ -237,6 +249,24 @@ def _validate_patch_fields(patch: FilterDelta) -> None:
     if patch.capacity < 1 or patch.capacity > 0xFFFFFFFF:
         raise FilterSerializationError(
             f"delta capacity {patch.capacity} out of range [1, 2^32)"
+        )
+    # The capacity is a size field: bound it by the payload it implies
+    # before anything is built, or a 40-byte patch could make an applier
+    # allocate a table for billions of items.  No filter above the wire
+    # maximum could be advertised anyway.
+    try:
+        payload = _payload_bytes_at(
+            patch.filter_kind, patch.capacity, patch.fpp, patch.load_factor
+        )
+    except ConfigurationError as exc:
+        raise FilterSerializationError(
+            f"delta patch carries invalid filter params: {exc}"
+        ) from exc
+    if payload > MAX_PAYLOAD_BYTES:
+        raise FilterSerializationError(
+            f"delta capacity {patch.capacity} implies a {payload}-byte "
+            f"{patch.filter_kind} payload, above the wire maximum of "
+            f"{MAX_PAYLOAD_BYTES}"
         )
     if len(patch.added) > 0xFFFF or len(patch.removed_indices) > 0xFFFF:
         raise FilterSerializationError(
@@ -482,7 +512,11 @@ class DeltaPublisher:
     item list plus the capacity in force (grow-only, re-planned with
     ``headroom`` only when the count overflows the current table — so
     native families keep their geometry, and with it their in-place
-    patch path, across quiet versions).  :meth:`update_since` then serves
+    patch path, across quiet versions).  Freezing builds the version's
+    image; a version whose planned table overflows (a tiny cuckoo table
+    can, when both candidate buckets of an item coincide) is frozen at
+    the first doubling of the plan that builds, so every patch names a
+    capacity its applier can build.  :meth:`update_since` then serves
     any client: one epoch-merged patch from its version to the head, or
     the framed full snapshot when that is the smaller message — whichever
     costs fewer bytes is what goes on the wire, CRLite-style.
@@ -516,14 +550,46 @@ class DeltaPublisher:
         self.load_factor = base.load_factor
         self.seed = base.seed
         items = _canonical_items(initial_items)
-        #: Per-version (ordered items, capacity).
-        self._history: List[Tuple[Tuple[bytes, ...], int]] = [
-            (items, self._planned_capacity(len(items)))
-        ]
+        #: Per-version (ordered items, built capacity).
+        self._history: List[Tuple[Tuple[bytes, ...], int]] = []
         self._images: Dict[int, bytes] = {}
+        #: Grow-only planned capacity; a frozen version's capacity only
+        #: exceeds it when the planned table could not hold its items.
+        self._plan = self._planned_capacity(len(items))
+        self._freeze(items)
 
     def _planned_capacity(self, count: int) -> int:
         return max(1, round(count * self.headroom))
+
+    def _freeze(self, items: Tuple[bytes, ...]) -> None:
+        """Append the next version at the first capacity, from the plan
+        up by doublings, whose filter builds; memoizes its image."""
+        version = len(self._history)
+        capacity = self._plan
+        while True:
+            try:
+                filt = build_filter_at(
+                    self.filter_kind,
+                    capacity,
+                    self.fpp,
+                    self.load_factor,
+                    self.seed,
+                    version,
+                    items,
+                    builder=self._builder,
+                )
+                break
+            except FilterFullError:
+                capacity *= 2
+                if (
+                    _payload_bytes_at(
+                        self.filter_kind, capacity, self.fpp, self.load_factor
+                    )
+                    > MAX_PAYLOAD_BYTES
+                ):
+                    raise
+        self._history.append((items, capacity))
+        self._images[version] = serialize_filter(filt)
 
     @property
     def version(self) -> int:
@@ -545,31 +611,15 @@ class DeltaPublisher:
         if self.version >= _MAX_VERSION:
             raise ConfigurationError("delta version space exhausted")
         new_items = _canonical_items(items)
-        capacity = self._history[-1][1]
-        if len(new_items) > capacity:
-            capacity = self._planned_capacity(len(new_items))
-        self._history.append((new_items, capacity))
+        if len(new_items) > self._plan:
+            self._plan = self._planned_capacity(len(new_items))
+        self._freeze(new_items)
         obs.inc("amq.delta.publishes")
         return self.version
 
     def image_at(self, version: int) -> bytes:
-        """Canonical wire image of a version (memoized per publisher)."""
-        cached = self._images.get(version)
-        if cached is None:
-            items, capacity = self._history[version]
-            filt = build_filter_at(
-                self.filter_kind,
-                capacity,
-                self.fpp,
-                self.load_factor,
-                self.seed,
-                version,
-                list(items),
-                builder=self._builder,
-            )
-            cached = serialize_filter(filt)
-            self._images[version] = cached
-        return cached
+        """Canonical wire image of a version (built when it was frozen)."""
+        return self._images[version]
 
     def snapshot_message(self, version: Optional[int] = None) -> bytes:
         """Framed full snapshot of ``version`` (default: head)."""

@@ -113,13 +113,17 @@ def canonical_params(params: FilterParams) -> FilterParams:
     )
 
 
+#: Largest payload the header's uint16 length field can declare.
+MAX_PAYLOAD_BYTES = 0xFFFF
+
+
 def serialize_filter(filt: AMQFilter) -> bytes:
     """Serialize ``filt`` (header + payload) for transport."""
     payload = filt.to_bytes()
-    if len(payload) > 0xFFFF:
+    if len(payload) > MAX_PAYLOAD_BYTES:
         raise FilterSerializationError(
             f"filter payload of {len(payload)} bytes exceeds the wire format "
-            "maximum of 65535"
+            f"maximum of {MAX_PAYLOAD_BYTES}"
         )
     params = filt.params
     if params.seed != params.seed & 0xFFFFFFFF:

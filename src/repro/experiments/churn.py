@@ -20,8 +20,8 @@ Wire images and probe plans live in content-keyed artifact caches
 (:data:`repro.runtime.artifacts.CHURN_IMAGES` /
 :data:`~repro.runtime.artifacts.CHURN_PROBES`), so repeated trials and
 staleness levels sharing a trajectory prefix rehydrate each other's
-builds instead of rebuilding identical filters from scratch; the caches
-are shipped to cold workers on the parallel path. Hit rates are
+builds instead of rebuilding identical filters from scratch; pool
+workers fork from the parent and start with its entries. Hit rates are
 reported out of band (``cache_stats`` is opt-in) because they are a
 per-process execution detail, not part of the deterministic document.
 """
@@ -34,12 +34,7 @@ from typing import Dict, List, Optional, Tuple
 from repro import obs
 from repro.errors import SimulationError
 from repro.runtime import artifacts
-from repro.runtime.parallel import (
-    derive_seed,
-    parallel_map,
-    resolve_jobs,
-    run_metered,
-)
+from repro.runtime.parallel import derive_seed, parallel_map
 from repro.webmodel.churn import ChurnConfig
 from repro.webmodel.churn_columnar import ChurnCohortConfig, run_churn_cohort
 from repro.webmodel.churn_reference import run_churn_cohort_reference
@@ -160,24 +155,7 @@ def run_churn_experiment(
         for level in config.staleness_levels
         for trial in range(config.trials)
     ]
-    jobs = resolve_jobs(jobs)
-    metered = obs.enabled()
-    if jobs <= 1 or len(cells) <= 1:
-        if not metered:
-            return [_run_cell(cell) for cell in cells]
-        results = []
-        for cell in cells:
-            result, snap = run_metered(_run_cell, cell)
-            obs.merge(snap)
-            results.append(result)
-        return results
-    return parallel_map(
-        _run_cell,
-        cells,
-        jobs=jobs,
-        metered=metered,
-        shipped_caches=artifacts.export_shippable(),
-    )
+    return parallel_map(_run_cell, cells, jobs=jobs, metered=obs.enabled())
 
 
 # -- reporting -------------------------------------------------------------------

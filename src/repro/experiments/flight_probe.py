@@ -5,7 +5,9 @@ and transport ablations, the estimator table) need the ClientHello and
 server-flight sizes of a handshake whose chain carries ``n`` ICAs under a
 given signature algorithm.  Rather than estimate them, this module runs
 one real handshake per shape against a purpose-built chain and memoizes
-the measured sizes.
+the measured sizes in the ``flight_sizes`` artifact cache.  Only the
+parent-side drivers (Fig. 1, Fig. 5, QUIC, the ablations, the estimator
+table) probe flight sizes; no pool worker does.
 """
 
 from __future__ import annotations
@@ -60,9 +62,8 @@ def flight_sizes(
     """(ClientHello bytes, server-flight bytes) measured by running one
     real handshake with the given chain shape — exact by construction.
 
-    Memoized in the shippable ``flight_sizes`` artifact cache: a process
-    probes each shape once, and ``parallel_map`` ships the entries to its
-    workers so cold processes never re-run probe handshakes.
+    Memoized in the ``flight_sizes`` artifact cache: a process probes
+    each shape once.
     """
     key = (algorithm_name, kem_name, n_icas, staples)
     cached = artifacts.FLIGHT_SIZES.get(key)

@@ -69,8 +69,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.pki.algorithms import get_signature_algorithm
 from repro.pki.certificate import DEFAULT_ATTRIBUTE_BYTES
 from repro.pki.store import IntermediatePreload
-from repro.runtime import artifacts
-from repro.runtime.parallel import parallel_map, resolve_jobs, run_metered
+from repro.runtime.parallel import parallel_map, resolve_jobs
 from repro.webmodel import cohortrng
 from repro.webmodel.population import ICAPopulation, PopulationConfig
 
@@ -141,23 +140,16 @@ class CohortConfig:
 
 
 def cohort_stream_keys(seed: int) -> Dict[str, int]:
-    """The cohort's three stream keys, routed through the shippable
-    ``cohort_streams`` artifact cache so parent-derived keys ride along to
-    worker processes (and round-trip the export/import path the property
-    tests exercise)."""
-    cache_key = ("streams", seed)
-    cached = artifacts.COHORT_STREAMS.get(cache_key)
-    if cached is None:
-        cached = {
-            ns: cohortrng.stream_key(ns, seed)
-            for ns in (
-                cohortrng.RANK_STREAM,
-                cohortrng.RTT_A_STREAM,
-                cohortrng.RTT_B_STREAM,
-            )
-        }
-        artifacts.COHORT_STREAMS.put(cache_key, cached)
-    return cached
+    """The cohort's three stream keys (pure functions of the seed, so
+    every worker process derives the same set)."""
+    return {
+        ns: cohortrng.stream_key(ns, seed)
+        for ns in (
+            cohortrng.RANK_STREAM,
+            cohortrng.RTT_A_STREAM,
+            cohortrng.RTT_B_STREAM,
+        )
+    }
 
 
 @dataclass(frozen=True)
@@ -574,23 +566,17 @@ class CohortEngine:
         ]
         metered = obs.enabled()
         if jobs <= 1 or len(blocks) <= 1:
-            if not metered:
-                parts = [self._run_block(block) for block in blocks]
-            else:
-                parts = []
-                for block in blocks:
-                    part, snap = run_metered(self._run_block, block)
-                    obs.merge(snap)
-                    parts.append(part)
+            # In-process: reuse this engine and its population.
+            parts = parallel_map(
+                self._run_block, blocks, jobs=1, metered=metered
+            )
         else:
-            payload = _CohortWorkerPayload(config=cfg)
             parts = parallel_map(
                 _cohort_worker_block,
                 blocks,
                 jobs=jobs,
                 initializer=_cohort_worker_init,
-                initargs=(payload,),
-                shipped_caches=artifacts.export_shippable(),
+                initargs=(_CohortWorkerPayload(config=cfg),),
                 metered=metered,
             )
         return finalize_cohort(cfg, parts, len(self._payload))

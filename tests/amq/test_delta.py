@@ -12,7 +12,7 @@ application guarantees.
 import hashlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
@@ -673,12 +673,20 @@ def _trajectories(draw):
     return n0, steps
 
 
+#: Six items at v4 overflow the planned 6-slot cuckoo and vacuum tables
+#: (an item's two candidate buckets coincide in so small a table).
+_TINY_TABLE_OVERFLOW = (
+    3, [([26, 11, 18, 30], 3), ([19, 28, 6, 5], 2), ([], 3), ([21], 2)]
+)
+
+
 class TestEquivalence:
     """The guarantee the module is named for: patches v0 -> vN land on
     the byte-identical wire image of a fresh build at vN."""
 
     @pytest.mark.parametrize("name", FAMILIES)
     @given(trajectory=_trajectories())
+    @example(trajectory=_TINY_TABLE_OVERFLOW)
     @settings(max_examples=12, deadline=None)
     def test_stepwise_chain_matches_fresh_build(self, name, trajectory):
         n0, steps = trajectory
@@ -694,6 +702,7 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("name", FAMILIES)
     @given(trajectory=_trajectories())
+    @example(trajectory=_TINY_TABLE_OVERFLOW)
     @settings(max_examples=12, deadline=None)
     def test_merged_update_matches_stepwise_chain(self, name, trajectory):
         n0, steps = trajectory
@@ -702,6 +711,15 @@ class TestEquivalence:
         assert merged.version == stepwise.version == pub.version
         assert merged.items == stepwise.items
         assert merged.image() == stepwise.image()
+
+    @pytest.mark.parametrize("name", ["cuckoo", "vacuum"])
+    def test_overflowing_plan_freezes_at_a_buildable_doubling(self, name):
+        pub, app = _run_trajectory(name, *_TINY_TABLE_OVERFLOW, stepwise=True)
+        assert [pub.capacity_at(v) for v in range(5)] == [6, 6, 6, 6, 12]
+        # The patch into the grown version carries the capacity it was
+        # built at, so the applier rebuilds the same table.
+        assert deserialize_delta(pub.patch_message(3, 4)).capacity == 12
+        assert app.image() == pub.image_at(4)
 
     @pytest.mark.parametrize("name", FAMILIES)
     def test_readd_trajectory_pinned(self, name):

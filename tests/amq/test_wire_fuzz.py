@@ -15,7 +15,14 @@ Two different hardness contracts, tested separately:
   Corrupt headers are also held to a memory bound linear in the image
   length (:mod:`tests._membound`): a flipped capacity bit must not make
   the decoder allocate the table that capacity implies.
+
+The delta check field is an unkeyed SHA-256 prefix, so it only catches
+accidents: anyone can rewrite a patch's size fields and recompute it.
+Such forged patches must still be rejected before anything is built —
+decoding and applying them stays inside the same memory bound.
 """
+
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +30,7 @@ from hypothesis import strategies as st
 
 from repro.amq import (
     FILTER_REGISTRY,
+    DeltaApplier,
     DeltaPublisher,
     FilterDelta,
     FilterSnapshot,
@@ -32,7 +40,14 @@ from repro.amq import (
     serialize_delta,
     serialize_filter,
 )
-from repro.amq.serialization import serialized_overhead_bytes
+from repro.amq.base import FilterParams
+from repro.amq.delta import _DELTA_HEADER, _PATCH_HEADER
+from repro.amq.serialization import (
+    MAX_PAYLOAD_BYTES,
+    canonical_params,
+    filter_class_for_name,
+    serialized_overhead_bytes,
+)
 from repro.errors import FilterSerializationError
 from tests._membound import allocation_bound
 from tests.conftest import make_items
@@ -108,13 +123,21 @@ class TestDeltaMessageHardness:
             filter_kind=name,
             from_version=from_version,
             to_version=from_version + data.draw(st.integers(1, 2**20)),
-            capacity=data.draw(st.integers(1, 0xFFFFFFFF)),
+            capacity=data.draw(
+                st.one_of(st.integers(1, 4096), st.integers(1, 0xFFFFFFFF))
+            ),
             fpp=data.draw(st.sampled_from([0.1, 1e-2, 1e-3, 1e-5])),
             load_factor=data.draw(st.sampled_from([0.5, 0.9, 1.0])),
             seed=data.draw(st.integers(0, 0xFFFFFFFF)),
             added=tuple(added),
             removed_indices=tuple(sorted(removed)),
         )
+        if _payload_bytes(patch) > MAX_PAYLOAD_BYTES:
+            # A filter too large for the AMQ wire format is no valid
+            # patch target.
+            with pytest.raises(FilterSerializationError, match="wire maximum"):
+                serialize_delta(patch)
+            return
         decoded = deserialize_delta(serialize_delta(patch))
         assert decoded.filter_kind == patch.filter_kind
         assert decoded.from_version == patch.from_version
@@ -123,6 +146,109 @@ class TestDeltaMessageHardness:
         assert decoded.seed == patch.seed
         assert decoded.added == patch.added
         assert decoded.removed_indices == patch.removed_indices
+
+
+_PATCH_FIELDS = (
+    "from_version", "capacity", "fpp_enc", "lf_enc", "seed", "item_len",
+    "add_count", "remove_count",
+)
+
+
+def _payload_bytes(patch: FilterDelta) -> int:
+    """Payload size the patch's capacity implies (geometry arithmetic)."""
+    params = canonical_params(
+        FilterParams(
+            capacity=patch.capacity, fpp=patch.fpp,
+            load_factor=patch.load_factor,
+        )
+    )
+    return filter_class_for_name(patch.filter_kind).expected_payload_bytes(
+        params
+    )
+
+
+def _reframe(wire: bytes, **fields) -> bytes:
+    """Rewrite patch-header fields of a framed patch and recompute its
+    check field, as an attacker would."""
+    magic, kind, type_id, to_version, _ = _DELTA_HEADER.unpack(
+        wire[: _DELTA_HEADER.size]
+    )
+    body = wire[_DELTA_HEADER.size :]
+    values = dict(
+        zip(_PATCH_FIELDS, _PATCH_HEADER.unpack(body[: _PATCH_HEADER.size]))
+    )
+    values.update(fields)
+    body = (
+        _PATCH_HEADER.pack(*(values[f] for f in _PATCH_FIELDS))
+        + body[_PATCH_HEADER.size :]
+    )
+    head = _DELTA_HEADER.pack(magic, kind, type_id, to_version, b"\0" * 4)
+    check = hashlib.sha256(head + body).digest()[:4]
+    return (
+        _DELTA_HEADER.pack(magic, kind, type_id, to_version, check) + body
+    )
+
+
+def _assert_rejected_within_bound(wire: bytes, applier: DeltaApplier, match):
+    """Decoding and applying ``wire`` both raise FilterSerializationError
+    inside the memory bound, and leave ``applier`` untouched."""
+    version, image = applier.version, applier.image()
+    with pytest.raises(FilterSerializationError, match=match):
+        with allocation_bound(len(wire)):
+            deserialize_delta(wire)
+    with pytest.raises(FilterSerializationError, match=match):
+        with allocation_bound(len(wire)):
+            applier.apply(wire)
+    assert applier.version == version and applier.image() == image
+
+
+def _empty_patch(name: str):
+    """A 40-byte patch with no adds or removes, and an 8-item applier at
+    its base version."""
+    items = make_items(__import__("random").Random(29), 8)
+    pub = DeltaPublisher(name, items, fpp=1e-2, seed=17)
+    pub.publish(items)
+    applier = DeltaApplier(
+        name, items, capacity=pub.capacity_at(0), fpp=1e-2, seed=17
+    )
+    return pub.patch_message(0, 1), applier
+
+
+class TestDeltaSizeFields:
+    """Forged size fields with a recomputed check field."""
+
+    @pytest.mark.parametrize("capacity", [1 << 20, 1 << 22, 0xFFFFFFFF])
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_capacity_past_the_wire_maximum_rejected(self, name, capacity):
+        wire, applier = _empty_patch(name)
+        assert len(wire) == 40
+        forged = _reframe(wire, capacity=capacity)
+        _assert_rejected_within_bound(forged, applier, "wire maximum")
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_forged_size_fields_rejected_or_legal(self, name, data):
+        """Any capacity and counts: a patch either decodes to a filter
+        that fits the wire format, or is rejected within the bound."""
+        wire, applier = _empty_patch(name)
+        fields = {
+            "capacity": data.draw(
+                st.one_of(st.integers(1, 64), st.integers(1, 0xFFFFFFFF))
+            ),
+            "add_count": data.draw(st.sampled_from([0, 1, 0xFFFF])),
+            "remove_count": data.draw(st.sampled_from([0, 1, 0xFFFF])),
+        }
+        forged = _reframe(wire, **fields)
+        try:
+            with allocation_bound(len(forged)):
+                patch = deserialize_delta(forged)
+        except FilterSerializationError:
+            _assert_rejected_within_bound(forged, applier, None)
+            return
+        assert fields["add_count"] == fields["remove_count"] == 0
+        assert patch.capacity == fields["capacity"]
+        assert _payload_bytes(patch) <= MAX_PAYLOAD_BYTES
 
 
 class TestAMQImageHardness:

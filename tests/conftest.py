@@ -21,10 +21,12 @@ make_items = _make_items  # re-export (historical helper import site)
 # Hypothesis profiles.  "ci" (the default) derandomizes every property
 # test and keeps no example database, so a run's outcome never depends
 # on the Hypothesis seed or on examples saved by earlier runs; "explore"
-# draws fresh random examples (``pytest --hypothesis-profile=explore``).
+# draws fresh random examples (``pytest --hypothesis-profile=explore``)
+# and prints a ``@reproduce_failure`` blob for any failure, so a failing
+# draw replays without the example database of the run that found it.
 # Neither changes any test's example budget.
 settings.register_profile("ci", derandomize=True, database=None)
-settings.register_profile("explore", derandomize=False)
+settings.register_profile("explore", derandomize=False, print_blob=True)
 settings.load_profile("ci")
 
 

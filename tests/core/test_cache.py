@@ -120,7 +120,7 @@ class TestQueriesAndListeners:
         _, icas = world
         cache = ICACache()
         added, removed = [], []
-        cache.subscribe(on_add=added.append, on_remove=removed.append)
+        cache.subscribe(on_add_batch=added.extend, on_remove_batch=removed.extend)
         cache.add(icas[0])
         cache.add(icas[1])
         cache.remove(icas[0])
@@ -134,7 +134,7 @@ class TestQueriesAndListeners:
         _, icas = world
         cache = ICACache()
         added = []
-        cache.subscribe(on_add=added.append)
+        cache.subscribe(on_add_batch=added.extend)
         cache.add(icas[0])
         cache.add(icas[0])
         assert len(added) == 1
@@ -202,7 +202,8 @@ class TestAtomicAddMany:
         h, icas = world
         cache = ICACache()
         added, batches = [], []
-        cache.subscribe(on_add=added.append, on_add_batch=batches.append)
+        cache.subscribe(on_add_batch=added.extend)
+        cache.subscribe(on_add_batch=batches.append)
         with pytest.raises(CertificateError):
             cache.add_many([icas[0], h.roots[0].certificate, icas[1]])
         assert len(cache) == 0
@@ -231,7 +232,8 @@ class TestBatchRemoval:
         cache = ICACache()
         cache.add_many(icas[:4])
         scalar, batches = [], []
-        cache.subscribe(on_remove=scalar.append, on_remove_batch=batches.append)
+        cache.subscribe(on_remove_batch=scalar.extend)
+        cache.subscribe(on_remove_batch=batches.append)
         cache.remove_many(icas[:3])
         assert scalar == list(icas[:3])
         assert [len(b) for b in batches] == [3]

@@ -43,7 +43,7 @@ def _read_init(_):
     return _INIT_STATE.get("tag")
 
 
-def _read_shipped(key):
+def _read_flight_size(key):
     from repro.runtime import artifacts
 
     return artifacts.FLIGHT_SIZES.get(key)
@@ -165,15 +165,17 @@ class TestParallelMap:
         )
         assert out == ["tag-pool"] * 4
 
-    def test_shipped_caches_reach_workers(self):
+    def test_forked_workers_inherit_parent_caches(self):
+        import multiprocessing
+
         from repro.runtime import artifacts
 
-        key = ("__test_ship__", "kem", 0, True)
-        shipped = {"flight_sizes": [(key, (111, 222))]}
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("workers inherit parent caches only under fork")
+        key = ("__test_fork__", "kem", 0, True)
+        artifacts.FLIGHT_SIZES.put(key, (111, 222))
         try:
-            out = parallel_map(
-                _read_shipped, [key] * 4, jobs=2, shipped_caches=shipped
-            )
+            out = parallel_map(_read_flight_size, [key] * 4, jobs=2)
             assert out == [(111, 222)] * 4
         finally:
             artifacts.FLIGHT_SIZES._entries.pop(key, None)

@@ -5,15 +5,14 @@ the scalar reference consumes the same stream row by row.  These tests
 pin the properties that make that safe: the counter layout is sharding-
 invariant (any sub-range of clients yields the values of the full
 block), epochs occupy disjoint counter ranges, draws are in range, and
-the stream key set is derived once and memoized in the shippable cache
-so every worker process agrees on it.
+the stream key set is a pure function of the seed, so every worker
+process agrees on it.
 """
 
 import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.runtime import artifacts  # noqa: E402
 from repro.runtime.parallel import derive_seed  # noqa: E402
 from repro.webmodel.churn_columnar import (  # noqa: E402
     SITE_STREAM,
@@ -73,13 +72,11 @@ def test_site_column_matches_scalar_draws_and_stays_in_range():
 
 
 def test_stream_keys_are_memoized_and_derived_from_namespace():
-    artifacts.COHORT_STREAMS.get(("churn-streams", 77))  # warm stats only
     keys = churn_stream_keys(77)
     assert keys[SITE_STREAM] == stream_key(SITE_STREAM, 77)
     assert keys[SITE_STREAM] == derive_seed(SITE_STREAM, 77, bits=64)
-    # Second call returns the cached entry (identity, not just equality).
-    assert churn_stream_keys(77) is keys
-    assert ("churn-streams", 77) in dict(artifacts.COHORT_STREAMS.export())
+    # A second derivation agrees (the keys are pure, nothing to cache).
+    assert churn_stream_keys(77) == keys
 
 
 def test_distinct_seeds_give_distinct_site_streams():

@@ -9,7 +9,7 @@ The contracts this file pins down:
   handshake of the scalar reference reports the same
   ``client_hello_bytes`` / ``server_flight_bytes`` / ``ica_bytes_sent``
   as a cold or cache-disabled one, and a whole reference run is
-  unchanged with every disableable cache bypassed;
+  unchanged with every artifact cache bypassed;
 * a warm repeat of a reference run performs zero redundant DER encodes.
 """
 
